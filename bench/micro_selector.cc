@@ -58,7 +58,7 @@ void BM_Closure(benchmark::State& state) {
     benchmark::DoNotOptimize(computable);
   }
 }
-BENCHMARK(BM_Closure)->Arg(3)->Arg(13)->Arg(21);
+BENCHMARK(BM_Closure)->Arg(3)->Arg(13)->Arg(19)->Arg(21);
 
 void BM_GreedySelect(benchmark::State& state) {
   const Prepared p = Prepare(static_cast<int>(state.range(0)));
@@ -70,7 +70,13 @@ void BM_GreedySelect(benchmark::State& state) {
     benchmark::DoNotOptimize(cost);
   }
 }
-BENCHMARK(BM_GreedySelect)->Arg(3)->Arg(13)->Arg(30)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GreedySelect)
+    ->Arg(3)
+    ->Arg(13)
+    ->Arg(19)
+    ->Arg(21)
+    ->Arg(30)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_IlpSelectSmall(benchmark::State& state) {
   const Prepared p = Prepare(static_cast<int>(state.range(0)));

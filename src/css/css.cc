@@ -57,6 +57,7 @@ int CssCatalog::AddStat(const StatKey& key) {
   stats_.push_back(key);
   index_[key] = idx;
   css_by_stat_.emplace_back();
+  consumers_.emplace_back();
   return idx;
 }
 
@@ -72,18 +73,41 @@ void CssCatalog::AddCss(CssEntry entry) {
   for (const StatKey& in : entry.inputs) {
     inputs.push_back(AddStat(in));
   }
-  // Detect duplicates by (target, sorted inputs).
-  std::vector<int> sorted = inputs;
-  std::sort(sorted.begin(), sorted.end());
+  // Canonical multiset order: the distinct inputs ascending, then the
+  // repeated occurrences ascending.
+  std::vector<int> ascending = inputs;
+  std::sort(ascending.begin(), ascending.end());
+  std::vector<int> canonical;
+  std::vector<int> repeats;
+  canonical.reserve(ascending.size());
+  for (size_t i = 0; i < ascending.size(); ++i) {
+    if (i > 0 && ascending[i] == ascending[i - 1]) {
+      repeats.push_back(ascending[i]);
+    } else {
+      canonical.push_back(ascending[i]);
+    }
+  }
+  const int num_distinct = static_cast<int>(canonical.size());
+  canonical.insert(canonical.end(), repeats.begin(), repeats.end());
+  // Duplicates: same target and same input multiset.
   for (int existing : css_by_stat_[static_cast<size_t>(target)]) {
-    std::vector<int> other = entry_inputs_[static_cast<size_t>(existing)];
-    std::sort(other.begin(), other.end());
-    if (other == sorted) return;
+    if (std::ranges::equal(InputRange(canonical_inputs_, existing),
+                           canonical)) {
+      return;
+    }
   }
   const int css_idx = static_cast<int>(entries_.size());
+  for (int i = 0; i < num_distinct; ++i) {
+    consumers_[static_cast<size_t>(canonical[static_cast<size_t>(i)])]
+        .push_back(css_idx);
+  }
   entries_.push_back(std::move(entry));
   entry_target_.push_back(target);
-  entry_inputs_.push_back(std::move(inputs));
+  inputs_.insert(inputs_.end(), inputs.begin(), inputs.end());
+  canonical_inputs_.insert(canonical_inputs_.end(), canonical.begin(),
+                           canonical.end());
+  input_begin_.push_back(static_cast<int>(inputs_.size()));
+  num_distinct_.push_back(num_distinct);
   css_by_stat_[static_cast<size_t>(target)].push_back(css_idx);
 }
 

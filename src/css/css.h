@@ -1,6 +1,7 @@
 #ifndef ETLOPT_CSS_CSS_H_
 #define ETLOPT_CSS_CSS_H_
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -69,7 +70,7 @@ class CssCatalog {
   int IndexOf(const StatKey& key) const;
 
   // Registers a CSS; inputs are interned automatically. Duplicate CSSs
-  // (same target + same input set) are dropped.
+  // (same target + same input multiset) are dropped.
   void AddCss(CssEntry entry);
 
   int num_stats() const { return static_cast<int>(stats_.size()); }
@@ -89,23 +90,52 @@ class CssCatalog {
     return css_by_stat_[static_cast<size_t>(stat_idx)];
   }
 
-  // Dense input stat indices of a CSS.
-  const std::vector<int>& css_inputs(int css_idx) const {
-    return entry_inputs_[static_cast<size_t>(css_idx)];
+  // Dense input stat indices of a CSS, in the entry's input order.
+  std::span<const int> css_inputs(int css_idx) const {
+    return InputRange(inputs_, css_idx);
+  }
+  // The distinct input stat indices of a CSS, ascending: the AND-edges the
+  // closure and the selectors walk.
+  std::span<const int> css_distinct_inputs(int css_idx) const {
+    const int distinct = num_distinct_[static_cast<size_t>(css_idx)];
+    return InputRange(canonical_inputs_, css_idx)
+        .first(static_cast<size_t>(distinct));
   }
   int css_target(int css_idx) const {
     return entry_target_[static_cast<size_t>(css_idx)];
   }
 
+  // CSS indices that have `stat_idx` among their inputs, ascending.
+  const std::vector<int>& consumers_of(int stat_idx) const {
+    return consumers_[static_cast<size_t>(stat_idx)];
+  }
+
   std::string ToString(const AttrCatalog* catalog = nullptr) const;
 
  private:
+  std::span<const int> InputRange(const std::vector<int>& list,
+                                  int css_idx) const {
+    const size_t c = static_cast<size_t>(css_idx);
+    return std::span<const int>(list).subspan(
+        static_cast<size_t>(input_begin_[c]),
+        static_cast<size_t>(input_begin_[c + 1] - input_begin_[c]));
+  }
+
   std::vector<StatKey> stats_;
   std::unordered_map<StatKey, int, StatKeyHash> index_;
   std::vector<CssEntry> entries_;
   std::vector<int> entry_target_;
-  std::vector<std::vector<int>> entry_inputs_;
+  // Input stat indices of all CSSs, concatenated; CSS c owns positions
+  // [input_begin_[c], input_begin_[c + 1]) of both lists. canonical_inputs_
+  // orders each CSS's inputs as its distinct indices ascending, then the
+  // repeated occurrences ascending, so equal ranges mean equal input
+  // multisets and the first num_distinct_[c] are the distinct inputs.
+  std::vector<int> input_begin_{0};
+  std::vector<int> inputs_;
+  std::vector<int> canonical_inputs_;
+  std::vector<int> num_distinct_;
   std::vector<std::vector<int>> css_by_stat_;
+  std::vector<std::vector<int>> consumers_;
 };
 
 }  // namespace etlopt

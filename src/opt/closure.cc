@@ -1,8 +1,5 @@
 #include "opt/closure.h"
 
-#include <algorithm>
-#include <deque>
-
 #include "util/common.h"
 
 namespace etlopt {
@@ -11,56 +8,47 @@ std::vector<char> ComputeClosure(const CssCatalog& catalog,
                                  const std::vector<char>& observed,
                                  std::vector<int>* derivation) {
   const int n = catalog.num_stats();
+  const int m = catalog.num_css();
   ETLOPT_CHECK(static_cast<int>(observed.size()) == n);
   std::vector<char> computable = observed;
   if (derivation != nullptr) derivation->assign(static_cast<size_t>(n), -1);
 
   // Counting-based fixpoint: each CSS fires once all its inputs are
-  // computable; firing makes its target computable.
-  const int m = catalog.num_css();
-  std::vector<int> missing(static_cast<size_t>(m), 0);
-  std::vector<std::vector<int>> css_waiting_on(static_cast<size_t>(n));
-  std::deque<int> ready;  // newly computable stats
-
+  // computable; firing makes its target computable. A first scan in CSS
+  // order fires every CSS whose inputs are computable at that point and
+  // counts, per CSS, the inputs it still waits on. `since[s]` is the scan
+  // position after which s counted as computable (-1: observed; m: not
+  // during the scan), so CSS c waited on s exactly when c < since[s].
+  std::vector<int> since(static_cast<size_t>(n), m);
   for (int s = 0; s < n; ++s) {
-    if (computable[static_cast<size_t>(s)]) ready.push_back(s);
+    if (computable[static_cast<size_t>(s)]) since[static_cast<size_t>(s)] = -1;
   }
+  std::vector<int> missing(static_cast<size_t>(m), 0);
+  std::vector<int> ready;  // newly computable stats, in firing order
+  auto fire = [&](int c) {
+    const int target = catalog.css_target(c);
+    if (computable[static_cast<size_t>(target)]) return false;
+    computable[static_cast<size_t>(target)] = 1;
+    if (derivation != nullptr) (*derivation)[static_cast<size_t>(target)] = c;
+    ready.push_back(target);
+    return true;
+  };
   for (int c = 0; c < m; ++c) {
     int need = 0;
-    std::vector<int> inputs = catalog.css_inputs(c);
-    std::sort(inputs.begin(), inputs.end());
-    inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
-    for (int input : inputs) {
-      if (!computable[static_cast<size_t>(input)]) {
-        ++need;
-        css_waiting_on[static_cast<size_t>(input)].push_back(c);
-      }
+    for (int input : catalog.css_distinct_inputs(c)) {
+      if (!computable[static_cast<size_t>(input)]) ++need;
     }
     missing[static_cast<size_t>(c)] = need;
-    if (need == 0) {
-      const int target = catalog.css_target(c);
-      if (!computable[static_cast<size_t>(target)]) {
-        computable[static_cast<size_t>(target)] = 1;
-        if (derivation != nullptr) (*derivation)[static_cast<size_t>(target)] = c;
-        ready.push_back(target);
-      }
+    if (need == 0 && fire(c)) {
+      since[static_cast<size_t>(catalog.css_target(c))] = c;
     }
   }
 
-  while (!ready.empty()) {
-    const int s = ready.front();
-    ready.pop_front();
-    for (int c : css_waiting_on[static_cast<size_t>(s)]) {
-      if (--missing[static_cast<size_t>(c)] == 0) {
-        const int target = catalog.css_target(c);
-        if (!computable[static_cast<size_t>(target)]) {
-          computable[static_cast<size_t>(target)] = 1;
-          if (derivation != nullptr) {
-            (*derivation)[static_cast<size_t>(target)] = c;
-          }
-          ready.push_back(target);
-        }
-      }
+  for (size_t next = 0; next < ready.size(); ++next) {
+    const int s = ready[next];
+    for (int c : catalog.consumers_of(s)) {
+      if (c >= since[static_cast<size_t>(s)]) break;  // consumers ascend
+      if (--missing[static_cast<size_t>(c)] == 0) fire(c);
     }
   }
   return computable;

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <queue>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "opt/closure.h"
 #include "util/common.h"
 
 namespace etlopt {
@@ -20,42 +21,46 @@ struct Derivation {
   bool reachable = false;
 };
 
-std::vector<int> UniqueInputs(const CssCatalog& catalog, int css) {
-  std::vector<int> inputs = catalog.css_inputs(css);
-  std::sort(inputs.begin(), inputs.end());
-  inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
-  return inputs;
-}
-
 // Knuth's generalization of Dijkstra over the AND-OR CSS graph: the cheapest
 // way to make each statistic computable, where a CSS's cost is the sum of
 // its inputs' costs (sharing between inputs is ignored here — the greedy
-// outer loop recovers sharing through residual costs).
+// outer loop recovers sharing through residual costs). Queue items are
+// (cost, stat, css), popped in lexicographic order; an item is only queued
+// when it beats its stat's best offer so far (tie-breaks: see the header).
 std::vector<Derivation> BestDerivations(const CssCatalog& catalog,
                                         const std::vector<char>& observable,
                                         const std::vector<double>& residual) {
   const int n = catalog.num_stats();
   const int m = catalog.num_css();
   std::vector<Derivation> best(static_cast<size_t>(n));
-  std::vector<char> finalized(static_cast<size_t>(n), 0);
+  std::vector<std::pair<double, int>> offer(
+      static_cast<size_t>(n),
+      {std::numeric_limits<double>::infinity(),
+       std::numeric_limits<int>::max()});
   std::vector<int> missing(static_cast<size_t>(m), 0);
   std::vector<double> css_sum(static_cast<size_t>(m), 0.0);
-  std::vector<std::vector<int>> waiting(static_cast<size_t>(n));
 
   using Item = std::pair<double, std::pair<int, int>>;  // (cost, (stat, css))
   std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
+  auto push = [&](double cost, int stat, int css) {
+    if (best[static_cast<size_t>(stat)].reachable) return;
+    std::pair<double, int>& o = offer[static_cast<size_t>(stat)];
+    if (std::make_pair(cost, css) < o) {
+      o = {cost, css};
+      pq.push({cost, {stat, css}});
+    }
+  };
 
   for (int c = 0; c < m; ++c) {
-    const std::vector<int> inputs = UniqueInputs(catalog, c);
-    missing[static_cast<size_t>(c)] = static_cast<int>(inputs.size());
-    for (int in : inputs) waiting[static_cast<size_t>(in)].push_back(c);
-    if (inputs.empty()) {
-      pq.push({0.0, {catalog.css_target(c), c}});
+    missing[static_cast<size_t>(c)] =
+        static_cast<int>(catalog.css_distinct_inputs(c).size());
+    if (missing[static_cast<size_t>(c)] == 0) {
+      push(0.0, catalog.css_target(c), c);
     }
   }
   for (int s = 0; s < n; ++s) {
     if (observable[static_cast<size_t>(s)]) {
-      pq.push({residual[static_cast<size_t>(s)], {s, -1}});
+      push(residual[static_cast<size_t>(s)], s, -1);
     }
   }
 
@@ -63,14 +68,12 @@ std::vector<Derivation> BestDerivations(const CssCatalog& catalog,
     const auto [cost, who] = pq.top();
     pq.pop();
     const int s = who.first;
-    if (finalized[static_cast<size_t>(s)]) continue;
-    finalized[static_cast<size_t>(s)] = 1;
+    if (best[static_cast<size_t>(s)].reachable) continue;
     best[static_cast<size_t>(s)] = Derivation{cost, who.second, true};
-    for (int c : waiting[static_cast<size_t>(s)]) {
+    for (int c : catalog.consumers_of(s)) {
       css_sum[static_cast<size_t>(c)] += cost;
       if (--missing[static_cast<size_t>(c)] == 0) {
-        pq.push({css_sum[static_cast<size_t>(c)],
-                 {catalog.css_target(c), c}});
+        push(css_sum[static_cast<size_t>(c)], catalog.css_target(c), c);
       }
     }
   }
@@ -89,10 +92,61 @@ void CollectBundle(const CssCatalog& catalog,
     bundle->push_back(stat);
     return;
   }
-  for (int in : UniqueInputs(catalog, d.via_css)) {
+  for (int in : catalog.css_distinct_inputs(d.via_css)) {
     CollectBundle(catalog, derivs, in, visited, bundle);
   }
 }
+
+// The computability closure of a growing observed set: observing a
+// statistic propagates only through the CSSs consuming what it newly makes
+// computable, so a whole greedy run walks each CSS edge at most once.
+class GrowingClosure {
+ public:
+  GrowingClosure(const CssCatalog& catalog, const std::vector<char>& observed)
+      : catalog_(catalog),
+        computable_(static_cast<size_t>(catalog.num_stats()), 0),
+        missing_(static_cast<size_t>(catalog.num_css()), 0) {
+    for (int c = 0; c < catalog.num_css(); ++c) {
+      missing_[static_cast<size_t>(c)] =
+          static_cast<int>(catalog.css_distinct_inputs(c).size());
+    }
+    for (int c = 0; c < catalog.num_css(); ++c) {
+      if (missing_[static_cast<size_t>(c)] == 0) {
+        Observe(catalog.css_target(c));
+      }
+    }
+    for (int s = 0; s < catalog.num_stats(); ++s) {
+      if (observed[static_cast<size_t>(s)]) Observe(s);
+    }
+  }
+
+  void Observe(int stat) {
+    if (computable_[static_cast<size_t>(stat)]) return;
+    computable_[static_cast<size_t>(stat)] = 1;
+    std::vector<int> ready{stat};
+    while (!ready.empty()) {
+      const int s = ready.back();
+      ready.pop_back();
+      for (int c : catalog_.consumers_of(s)) {
+        const int target = catalog_.css_target(c);
+        if (--missing_[static_cast<size_t>(c)] == 0 &&
+            !computable_[static_cast<size_t>(target)]) {
+          computable_[static_cast<size_t>(target)] = 1;
+          ready.push_back(target);
+        }
+      }
+    }
+  }
+
+  bool computable(int stat) const {
+    return computable_[static_cast<size_t>(stat)] != 0;
+  }
+
+ private:
+  const CssCatalog& catalog_;
+  std::vector<char> computable_;
+  std::vector<int> missing_;  // per CSS: inputs not yet computable
+};
 
 }  // namespace
 
@@ -123,7 +177,9 @@ SelectionResult SelectGreedyWithBudget(const SelectionProblem& problem,
       spent += problem.cost[s];
     }
   }
-  std::vector<char> computable = ComputeClosure(catalog, observed);
+  // `observed` only grows until the reverse-delete pass, so computability
+  // is maintained incrementally.
+  GrowingClosure closure(catalog, observed);
   std::vector<char> deferred(static_cast<size_t>(n), 0);
 
   for (;;) {
@@ -137,8 +193,7 @@ SelectionResult SelectGreedyWithBudget(const SelectionProblem& problem,
       std::vector<int> pending;
       for (int s = 0; s < n; ++s) {
         if (problem.required[static_cast<size_t>(s)] &&
-            !computable[static_cast<size_t>(s)] &&
-            !deferred[static_cast<size_t>(s)]) {
+            !closure.computable(s) && !deferred[static_cast<size_t>(s)]) {
           pending.push_back(s);
         }
       }
@@ -174,6 +229,7 @@ SelectionResult SelectGreedyWithBudget(const SelectionProblem& problem,
           if (!observed[static_cast<size_t>(s)]) {
             observed[static_cast<size_t>(s)] = 1;
             residual[static_cast<size_t>(s)] = 0.0;
+            closure.Observe(s);
           }
         }
         spent += added;
@@ -182,55 +238,43 @@ SelectionResult SelectGreedyWithBudget(const SelectionProblem& problem,
       }
       if (!progressed) break;  // nothing affordable/reachable remains
     }
-    computable = ComputeClosure(catalog, observed);
   }
 
   bool all_covered = true;
   for (int s = 0; s < n; ++s) {
-    if (problem.required[static_cast<size_t>(s)] &&
-        !computable[static_cast<size_t>(s)]) {
+    if (problem.required[static_cast<size_t>(s)] && !closure.computable(s)) {
       all_covered = false;
       if (uncovered_required != nullptr) uncovered_required->push_back(s);
     }
   }
-  if (!all_covered) {
-    // Partial cover: report what was chosen so far (budget mode).
+  // Reverse-delete: drop observations that became redundant (most expensive
+  // first). A partial cover (budget mode) is reported as chosen so far.
+  if (all_covered) {
+    std::vector<int> kept;
     for (int s = 0; s < n; ++s) {
-      if (observed[static_cast<size_t>(s)]) {
-        result.observed.push_back(s);
-        result.total_cost += problem.cost[static_cast<size_t>(s)];
+      if (observed[static_cast<size_t>(s)]) kept.push_back(s);
+    }
+    std::sort(kept.begin(), kept.end(), [&](int a, int b) {
+      return problem.cost[static_cast<size_t>(a)] >
+             problem.cost[static_cast<size_t>(b)];
+    });
+    for (int s : kept) {
+      if (static_cast<size_t>(s) < problem.must_observe.size() &&
+          problem.must_observe[static_cast<size_t>(s)]) {
+        continue;  // forced observations are never redundant
+      }
+      observed[static_cast<size_t>(s)] = 0;
+      std::vector<int> trial;
+      for (int t = 0; t < n; ++t) {
+        if (observed[static_cast<size_t>(t)]) trial.push_back(t);
+      }
+      if (!SelectionCovers(problem, trial)) {
+        observed[static_cast<size_t>(s)] = 1;  // still needed
       }
     }
-    result.feasible = false;
-    return result;
   }
 
-  // Reverse-delete: drop observations that became redundant (most expensive
-  // first).
-  std::vector<int> kept;
-  for (int s = 0; s < n; ++s) {
-    if (observed[static_cast<size_t>(s)]) kept.push_back(s);
-  }
-  std::sort(kept.begin(), kept.end(), [&](int a, int b) {
-    return problem.cost[static_cast<size_t>(a)] >
-           problem.cost[static_cast<size_t>(b)];
-  });
-  for (int s : kept) {
-    if (static_cast<size_t>(s) < problem.must_observe.size() &&
-        problem.must_observe[static_cast<size_t>(s)]) {
-      continue;  // forced observations are never redundant
-    }
-    observed[static_cast<size_t>(s)] = 0;
-    std::vector<int> trial;
-    for (int t = 0; t < n; ++t) {
-      if (observed[static_cast<size_t>(t)]) trial.push_back(t);
-    }
-    if (!SelectionCovers(problem, trial)) {
-      observed[static_cast<size_t>(s)] = 1;  // still needed
-    }
-  }
-
-  result.feasible = true;
+  result.feasible = all_covered;
   for (int s = 0; s < n; ++s) {
     if (observed[static_cast<size_t>(s)]) {
       result.observed.push_back(s);

@@ -11,6 +11,15 @@ namespace etlopt {
 // the amortization the paper motivates with Figure 7). Bundle costs are
 // computed with a Knuth-style AND-OR shortest-derivation pass over the CSS
 // graph. A reverse-delete pass then removes redundant observations.
+//
+// Tie-breaks: the derivation pass finalizes statistics in lexicographic
+// (cost, stat, css) order, a direct observation counting as css -1. It
+// queues an offer only when (cost, css) is below the statistic's best offer
+// so far, which skips only offers that could never be popped first: the
+// chosen derivation of every statistic, the finalization order and each
+// CSS's input-cost summation order are those of the unpruned search. The
+// computability of the growing cover is maintained incrementally over the
+// catalog's stored consumer lists.
 SelectionResult SelectGreedy(const SelectionProblem& problem);
 
 // Budgeted variant (Section 6.1): stops adding observations once the budget

@@ -1,6 +1,8 @@
 #include "opt/ilp_selector.h"
 
-#include <algorithm>
+#include <span>
+#include <string>
+#include <utility>
 
 #include "lp/ilp.h"
 #include "obs/metrics.h"
@@ -9,16 +11,6 @@
 #include "opt/greedy_selector.h"
 
 namespace etlopt {
-namespace {
-
-std::vector<int> UniqueInputs(const CssCatalog& catalog, int css) {
-  std::vector<int> inputs = catalog.css_inputs(css);
-  std::sort(inputs.begin(), inputs.end());
-  inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
-  return inputs;
-}
-
-}  // namespace
 
 SelectionResult SelectIlp(const SelectionProblem& problem,
                           const IlpSelectorOptions& options) {
@@ -75,7 +67,7 @@ SelectionResult SelectIlp(const SelectionProblem& problem,
   // CSS covered only if all members computable: Σ y_k ≥ |CSS| z_j;
   // and covered implies computable: y_target ≥ z_j.
   for (int c = 0; c < m; ++c) {
-    const std::vector<int> inputs = UniqueInputs(catalog, c);
+    const std::span<const int> inputs = catalog.css_distinct_inputs(c);
     LpConstraint cover;
     cover.sense = ConstraintSense::kGreaterEqual;
     cover.rhs = 0.0;

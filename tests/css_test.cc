@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "css/generator.h"
 #include "test_util.h"
@@ -217,6 +219,51 @@ TEST(CssFkTest, FkRuleGeneratesCardShortcut) {
   const CssCatalog without = GenerateCss(ctx, ps, no_fk);
   EXPECT_FALSE(PaperCss::HasCss(without, StatKey::Card(0b011),
                                 {StatKey::Card(0b001)}));
+}
+
+// Duplicate CSSs are detected on the input multiset: a repeated input makes
+// a different CSS, input order does not. The graph views keep each input
+// once.
+TEST(CssCatalogTest, DeduplicatesOnInputMultiset) {
+  const StatKey a = StatKey::Card(0b001);
+  const StatKey b = StatKey::Card(0b010);
+  const StatKey t = StatKey::Card(0b011);
+  CssCatalog catalog;
+  auto add = [&](std::vector<StatKey> inputs) {
+    CssEntry e;
+    e.rule = RuleId::kJ1;
+    e.target = t;
+    e.inputs = std::move(inputs);
+    catalog.AddCss(std::move(e));
+  };
+  add({a, a});
+  add({a});
+  add({a, a});     // duplicate of the first
+  add({a, a, b});
+  add({b, a, b});  // different multiplicities: kept
+  add({a, b, a});  // duplicate of {a, a, b}
+  add({b, a});
+  add({a, b});     // duplicate of {b, a}
+  ASSERT_EQ(catalog.num_css(), 5);
+  const int ia = catalog.IndexOf(a);
+  const int ib = catalog.IndexOf(b);
+  const auto vec = [](std::span<const int> in) {
+    return std::vector<int>(in.begin(), in.end());
+  };
+  EXPECT_EQ(vec(catalog.css_inputs(0)), (std::vector<int>{ia, ia}));
+  EXPECT_EQ(vec(catalog.css_inputs(1)), (std::vector<int>{ia}));
+  EXPECT_EQ(vec(catalog.css_inputs(3)), (std::vector<int>{ib, ia, ib}));
+  EXPECT_EQ(vec(catalog.css_inputs(4)), (std::vector<int>{ib, ia}));
+  EXPECT_EQ(vec(catalog.css_distinct_inputs(0)), (std::vector<int>{ia}));
+  EXPECT_EQ(vec(catalog.css_distinct_inputs(1)), (std::vector<int>{ia}));
+  EXPECT_EQ(vec(catalog.css_distinct_inputs(2)), (std::vector<int>{ia, ib}));
+  EXPECT_EQ(vec(catalog.css_distinct_inputs(3)), (std::vector<int>{ia, ib}));
+  EXPECT_EQ(vec(catalog.css_distinct_inputs(4)), (std::vector<int>{ia, ib}));
+  EXPECT_EQ(catalog.consumers_of(ia), (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(catalog.consumers_of(ib), (std::vector<int>{2, 3, 4}));
+  EXPECT_TRUE(catalog.consumers_of(catalog.IndexOf(t)).empty());
+  EXPECT_EQ(catalog.css_of(catalog.IndexOf(t)),
+            (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 }  // namespace
