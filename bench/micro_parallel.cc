@@ -5,11 +5,11 @@
 // tap-merge overhead — what reassembling per-partition tap states costs,
 // for exact collectors (key-set union) and sketches (HLL register max /
 // Count-Min addition). Every run reports the fan-out and skew it actually
-// measured as benchmark counters, and the executor's merge-barrier time is
-// surfaced as merge_ms so gather cost is never hidden inside the scaling
-// numbers. The committed BENCH_parallel.json records the environment's CPU
-// count next to the curve: scaling past num_cpus is not observable on a
-// single-core container, and the numbers say so rather than pretend.
+// measured as benchmark counters, and the executor's serial steps are
+// surfaced beside the curve: partition_ms (hash-partitioning the sources)
+// and merge_ms (the merge barrier), so neither hides inside the scaling
+// numbers. Speedup is bounded by the host's cores; BENCH_parallel.json
+// records num_cpus and the build type next to the curve.
 
 #include <benchmark/benchmark.h>
 
@@ -70,6 +70,7 @@ void RunExecutorBench(benchmark::State& state, const Workload& w) {
   parallel::ParallelOptions opts;
   opts.num_threads = threads;
   const parallel::ParallelExecutor exec(&w.workflow, opts);
+  int64_t partition_ns = 0;
   int64_t merge_ns = 0;
   double skew = 0.0;
   int partitions = 0;
@@ -79,6 +80,7 @@ void RunExecutorBench(benchmark::State& state, const Workload& w) {
       state.SkipWithError(result.status().ToString().c_str());
       break;
     }
+    partition_ns = result->exec.partition_ns;
     merge_ns = result->exec.merge_ns;
     skew = result->exec.partition_skew;
     partitions = result->exec.partitions_total;
@@ -88,6 +90,7 @@ void RunExecutorBench(benchmark::State& state, const Workload& w) {
   state.counters["workers"] = threads;
   state.counters["partitions"] = partitions;
   state.counters["skew"] = skew;
+  state.counters["partition_ms"] = static_cast<double>(partition_ns) / 1e6;
   state.counters["merge_ms"] = static_cast<double>(merge_ns) / 1e6;
 }
 

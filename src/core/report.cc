@@ -150,8 +150,9 @@ std::string FormatObsSummary() {
     }
   }
   // Parallel execution: the partitioned executor publishes worker/partition
-  // gauges and merge-time counters. All zero on serial runs, so the section
-  // only prints after a --threads=N run took the parallel path.
+  // gauges and partitioning/merge-time counters. All zero on serial runs,
+  // so the section only prints after a --threads=N run took the parallel
+  // path.
   const obs::Gauge* par_workers =
       registry.FindGauge("etlopt.parallel.workers");
   if (par_workers != nullptr && par_workers->Get() > 0) {
@@ -169,6 +170,12 @@ std::string FormatObsSummary() {
       v.precision(2);
       v << std::fixed << skew->Get();
       out << "  partition skew (max/mean rows): " << v.str() << "\n";
+    }
+    const obs::Counter* partition_ns =
+        registry.FindCounter("etlopt.parallel.partition_ns");
+    if (partition_ns != nullptr && partition_ns->Get() > 0) {
+      out << "  source partitioning time: "
+          << WithThousands(partition_ns->Get()) << " ns\n";
     }
     const obs::Counter* merge_ns =
         registry.FindCounter("etlopt.parallel.merge_ns");

@@ -166,6 +166,8 @@ struct ExecutionResult {
   // Nodes whose output covers only the completed partitions — the
   // partition-granular salvage surface after a partition-scoped crash.
   int nodes_partial = 0;
+  // Time spent hash-partitioning the partitioned sources.
+  int64_t partition_ns = 0;
   // Time spent at the merge barrier reassembling partition slices.
   int64_t merge_ns = 0;
   // max / mean partition cardinality over the partitioned source rows.

@@ -88,19 +88,6 @@ const std::vector<Table>* KeySlices(const BlockContext& ctx,
   return &it->second;
 }
 
-void ForEachPartition(ThreadPool* pool, int n,
-                      const std::function<void(int)>& fn) {
-  if (pool == nullptr) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  const Status status = pool->ParallelFor(n, [&fn](int i) {
-    fn(i);
-    return Status::OK();
-  });
-  ETLOPT_CHECK_MSG(status.ok(), "partition tap scan failed");
-}
-
 std::vector<int> KeyColumns(const Schema& schema, AttrMask attrs) {
   std::vector<int> cols;
   for (int idx : MaskToIndices(attrs)) {
@@ -130,7 +117,7 @@ int64_t MergedDistinctCount(const std::vector<Table>& slices, AttrMask attrs,
                             ThreadPool* pool, int64_t* merge_ns) {
   using KeySet = std::unordered_set<std::vector<Value>, ValueVecHash>;
   std::vector<KeySet> sets(slices.size());
-  ForEachPartition(pool, static_cast<int>(slices.size()), [&](int p) {
+  ParallelForEach(pool, static_cast<int>(slices.size()), [&](int p) {
     const Table& t = slices[static_cast<size_t>(p)];
     if (t.num_rows() == 0) return;
     const std::vector<const Value*> data = KeyColumnData(t, attrs);
@@ -158,7 +145,7 @@ Histogram MergedExactHistogram(const std::vector<Table>& slices,
                                AttrMask attrs, ThreadPool* pool,
                                int64_t* merge_ns) {
   std::vector<Histogram> parts(slices.size());
-  ForEachPartition(pool, static_cast<int>(slices.size()), [&](int p) {
+  ParallelForEach(pool, static_cast<int>(slices.size()), [&](int p) {
     const Table& t = slices[static_cast<size_t>(p)];
     // A crashed partition's slice is empty (default table): contribute an
     // empty histogram rather than probing its absent schema.
@@ -179,7 +166,7 @@ sketch::DistinctTap MergedDistinctTap(const std::vector<Table>& slices,
                                       ThreadPool* pool, int64_t* merge_ns) {
   std::vector<sketch::DistinctTap> parts(slices.size(),
                                          sketch::DistinctTap(config));
-  ForEachPartition(pool, static_cast<int>(slices.size()), [&](int p) {
+  ParallelForEach(pool, static_cast<int>(slices.size()), [&](int p) {
     const Table& t = slices[static_cast<size_t>(p)];
     if (t.num_rows() == 0) return;
     sketch::DistinctTap& tap = parts[static_cast<size_t>(p)];
@@ -211,7 +198,7 @@ sketch::HistTap MergedHistTap(const std::vector<Table>& slices, AttrMask attrs,
                               ThreadPool* pool, int64_t* merge_ns) {
   std::vector<sketch::HistTap> parts(slices.size(),
                                      sketch::HistTap(config, arity));
-  ForEachPartition(pool, static_cast<int>(slices.size()), [&](int p) {
+  ParallelForEach(pool, static_cast<int>(slices.size()), [&](int p) {
     const Table& t = slices[static_cast<size_t>(p)];
     if (t.num_rows() == 0) return;
     sketch::HistTap& tap = parts[static_cast<size_t>(p)];

@@ -1,9 +1,10 @@
 #include "engine/parallel/parallel_executor.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -139,289 +140,269 @@ AttrId ChoosePartitionAttr(const Workflow& wf,
   return best;
 }
 
-// A partition-local table plus per-row provenance: the original source row
-// indices the row descends from, in join-nesting order. The serial executor
-// emits rows in exactly lexicographic provenance order, so the merge
-// barrier reassembles bit-identical tables by merging on it.
+// A partition-local table plus its provenance: sel[i] is the row of the
+// node's primary input slice (a join's probe side, the only input
+// otherwise) that row i descends from, i.e. the selection vector the
+// kernel gathered with. Nodes whose rows map 1:1 onto their input
+// (project, row transform, materialize, sink) leave it empty.
 struct Slice {
   Table table;
-  std::vector<std::vector<int64_t>> seq;
+  SelVector sel;
 };
 
-void AppendRow(Slice* out, std::vector<Value> row,
-               std::vector<int64_t> seq) {
-  out->table.AddRow(std::move(row));
-  out->seq.push_back(std::move(seq));
+// Everything one partitioned node produces, one slot per partition so
+// workers never contend.
+struct NodeSlices {
+  std::vector<Slice> out;
+  std::vector<Slice> rejects;   // joins: probe rows without a match
+  std::vector<Slice> rrejects;  // co-partitioned joins: unmatched build rows
+  // Broadcast joins: the build table, hashed once before the partition
+  // phase and probed read-only by every partition, and per partition the
+  // build rows it matched (the build-side rejects are the rows no
+  // partition matched).
+  const Table* build = nullptr;
+  std::optional<JoinHashTable> broadcast;
+  int64_t build_ns = 0;
+  std::vector<std::vector<uint8_t>> build_hits;
+};
+
+// Per partition: the row each slice row holds in the node's gathered
+// (serial-order) output. Nodes that map rows 1:1 share their input's.
+using Positions = std::shared_ptr<const std::vector<SelVector>>;
+
+bool MapsRowsOneToOne(const WorkflowNode& node) {
+  return node.kind == OpKind::kProject || node.kind == OpKind::kTransform ||
+         node.kind == OpKind::kMaterialize || node.kind == OpKind::kSink;
 }
 
-Slice ApplyFilterSlice(const WorkflowNode& node, const Schema& out_schema,
-                       const Slice& in) {
-  Slice out{Table{out_schema}, {}};
-  const int col = in.table.schema().IndexOf(node.predicate.attr);
-  if (VectorizedKernels()) {
-    SelVector sel;
-    BuildSelection(node.predicate, in.table.column_data(col),
-                   in.table.num_rows(), &sel);
-    out.table = Table::Gather(in.table, sel);
-    out.seq.reserve(sel.size());
-    for (int64_t r : sel) out.seq.push_back(in.seq[static_cast<size_t>(r)]);
-    return out;
+// `in`'s columns, shared, with column `c` replaced by `col` (appended when
+// c is one past the last column).
+Table WithColumn(const Schema& schema, const Table& in, int c, ColumnPtr col) {
+  std::vector<ColumnPtr> cols;
+  cols.reserve(static_cast<size_t>(schema.size()));
+  for (int i = 0; i < in.num_columns(); ++i) {
+    cols.push_back(i == c ? col : in.shared_column(i));
   }
-  for (int64_t r = 0; r < in.table.num_rows(); ++r) {
-    if (node.predicate.Matches(in.table.at(r, col))) {
-      out.table.AppendRowFrom(in.table, r);
-      out.seq.push_back(in.seq[static_cast<size_t>(r)]);
-    }
-  }
+  if (c == in.num_columns()) cols.push_back(std::move(col));
+  return Table::FromColumns(schema, std::move(cols), in.num_rows());
+}
+
+// The output column a row transform writes: its input column when in
+// place, else a new last column.
+int TransformColumn(const TransformSpec& t, const Schema& in_schema) {
+  return t.output_attr == t.input_attr ? in_schema.IndexOf(t.input_attr)
+                                       : in_schema.size();
+}
+
+Slice FilterSlice(const WorkflowNode& node, const Table& in) {
+  Slice out;
+  const int col = in.schema().IndexOf(node.predicate.attr);
+  BuildSelection(node.predicate, in.column_data(col), in.num_rows(),
+                 &out.sel);
+  out.table = Table::Gather(in, out.sel);
   return out;
 }
 
-Slice ApplyProjectSlice(const WorkflowNode& node, const Schema& out_schema,
-                        const Slice& in) {
-  std::vector<int> cols;
-  for (AttrId a : node.keep) cols.push_back(in.table.schema().IndexOf(a));
-  if (VectorizedKernels()) {
-    // Copy-free: the kept columns are shared, not duplicated.
-    std::vector<ColumnPtr> kept;
-    kept.reserve(cols.size());
-    for (int c : cols) kept.push_back(in.table.shared_column(c));
-    return Slice{
-        Table::FromColumns(out_schema, std::move(kept), in.table.num_rows()),
-        in.seq};
+Table ProjectSlice(const WorkflowNode& node, const Schema& out_schema,
+                   const Table& in) {
+  std::vector<ColumnPtr> kept;
+  kept.reserve(node.keep.size());
+  for (AttrId a : node.keep) {
+    kept.push_back(in.shared_column(in.schema().IndexOf(a)));
   }
-  Slice out{Table{out_schema}, in.seq};
-  for (int64_t r = 0; r < in.table.num_rows(); ++r) {
-    std::vector<Value> projected;
-    projected.reserve(cols.size());
-    for (int c : cols) projected.push_back(in.table.at(r, c));
-    out.table.AddRow(std::move(projected));
-  }
-  return out;
+  return Table::FromColumns(out_schema, std::move(kept), in.num_rows());
 }
 
-Slice ApplyTransformSlice(const WorkflowNode& node, const Schema& out_schema,
-                          const Slice& in) {
+Table TransformSlice(const WorkflowNode& node, const Schema& out_schema,
+                     const Table& in) {
   const TransformSpec& t = node.transform;
-  const int col = in.table.schema().IndexOf(t.input_attr);
-  const bool in_place = t.output_attr == t.input_attr;
-  if (VectorizedKernels()) {
-    Column mapped;
-    MapColumn(t.fn, in.table.column_data(col), in.table.num_rows(), &mapped);
-    ColumnPtr mapped_col = std::make_shared<Column>(std::move(mapped));
-    std::vector<ColumnPtr> cols;
-    cols.reserve(static_cast<size_t>(in.table.num_columns()) +
-                 (in_place ? 0 : 1));
-    for (int c = 0; c < in.table.num_columns(); ++c) {
-      cols.push_back(in_place && c == col ? mapped_col
-                                          : in.table.shared_column(c));
-    }
-    if (!in_place) cols.push_back(std::move(mapped_col));
-    return Slice{
-        Table::FromColumns(out_schema, std::move(cols), in.table.num_rows()),
-        in.seq};
-  }
-  Slice out{Table{out_schema}, in.seq};
-  for (int64_t r = 0; r < in.table.num_rows(); ++r) {
-    std::vector<Value> row = in.table.row(r);
-    if (in_place) {
-      row[static_cast<size_t>(col)] = t.fn(row[static_cast<size_t>(col)]);
-    } else {
-      row.push_back(t.fn(row[static_cast<size_t>(col)]));
-    }
-    out.table.AddRow(std::move(row));
-  }
-  return out;
+  auto mapped = std::make_shared<Column>();
+  MapColumn(t.fn, in.column_data(in.schema().IndexOf(t.input_attr)),
+            in.num_rows(), mapped.get());
+  return WithColumn(out_schema, in, TransformColumn(t, in.schema()),
+                    std::move(mapped));
 }
 
-Slice CopySlice(const Schema& out_schema, const Slice& in) {
-  Slice out{Table{out_schema}, in.seq};
-  out.table.AppendRows(in.table);
-  return out;
-}
-
-// Partition-local hash join, seq-threading the serial kernel's emission
-// structure: probe rows in slice order, matches in build-insertion order.
-// `right_seq` is null for a broadcast build side, whose provenance is its
-// (serial) row index. `rejects` receives unmatched probe rows; `rrejects`
-// (co-partitioned only — a broadcast build side sees every partition's
-// keys) receives build rows whose key never occurs in the probe slice.
-Slice ApplyJoinSlice(const WorkflowNode& node, const Schema& out_schema,
-                     const Slice& left, const Table& right,
-                     const std::vector<std::vector<int64_t>>* right_seq,
-                     Slice* rejects, Slice* rrejects) {
-  const int lkey = left.table.schema().IndexOf(node.join.attr);
-  const int rkey = right.schema().IndexOf(node.join.attr);
-  ETLOPT_CHECK_MSG(lkey >= 0 && rkey >= 0, "join key missing from an input");
-  std::vector<int> right_cols;
-  for (int i = 0; i < right.schema().size(); ++i) {
-    if (right.schema().attrs()[static_cast<size_t>(i)] != node.join.attr) {
-      right_cols.push_back(i);
-    }
-  }
-  auto right_seq_of = [&](int64_t r) -> std::vector<int64_t> {
-    return right_seq != nullptr ? (*right_seq)[static_cast<size_t>(r)]
-                                : std::vector<int64_t>{r};
-  };
-
-  if (VectorizedKernels()) {
-    // Same emission structure as the map-based kernel: probe rows in slice
-    // order, each key's matches in build order (JoinHashTable groups keep
-    // build insertion order), so the seq stream — and therefore the merge —
-    // is bit-identical.
-    Slice out{Table{out_schema}, {}};
-    const JoinHashTable ht(right.column_data(rkey), right.num_rows());
-    const Value* lvals = left.table.column_data(lkey);
-    SelVector lsel;
-    SelVector rsel;
-    SelVector reject_sel;
-    for (int64_t l = 0; l < left.table.num_rows(); ++l) {
-      const JoinHashTable::RowRange range = ht.Lookup(lvals[l]);
-      if (range.empty()) {
-        if (rejects != nullptr) reject_sel.push_back(l);
-        continue;
-      }
-      for (const int64_t* p = range.begin; p != range.end; ++p) {
-        lsel.push_back(l);
-        rsel.push_back(*p);
-        std::vector<int64_t> seq = left.seq[static_cast<size_t>(l)];
-        const std::vector<int64_t> rseq = right_seq_of(*p);
-        seq.insert(seq.end(), rseq.begin(), rseq.end());
-        out.seq.push_back(std::move(seq));
-      }
-    }
-    std::vector<ColumnPtr> out_cols;
-    out_cols.reserve(static_cast<size_t>(left.table.num_columns()) +
-                     right_cols.size());
-    for (int c = 0; c < left.table.num_columns(); ++c) {
-      auto col = std::make_shared<Column>();
-      GatherColumn(left.table.column(c), lsel, col.get());
-      out_cols.push_back(std::move(col));
-    }
-    for (int c : right_cols) {
-      auto col = std::make_shared<Column>();
-      GatherColumn(right.column(c), rsel, col.get());
-      out_cols.push_back(std::move(col));
-    }
-    out.table = Table::FromColumns(out_schema, std::move(out_cols),
-                                   static_cast<int64_t>(lsel.size()));
-    if (rejects != nullptr) {
-      rejects->table = Table::Gather(left.table, reject_sel);
-      rejects->seq.reserve(reject_sel.size());
-      for (int64_t l : reject_sel) {
-        rejects->seq.push_back(left.seq[static_cast<size_t>(l)]);
-      }
-    }
-    if (rrejects != nullptr) {
-      const JoinHashTable probed(left.table.column_data(lkey),
-                                 left.table.num_rows());
-      const Value* rvals = right.column_data(rkey);
-      SelVector rr;
-      for (int64_t r = 0; r < right.num_rows(); ++r) {
-        if (!probed.Contains(rvals[r])) rr.push_back(r);
-      }
-      rrejects->table = Table::Gather(right, rr);
-      rrejects->seq.reserve(rr.size());
-      for (int64_t r : rr) rrejects->seq.push_back(right_seq_of(r));
-    }
-    return out;
-  }
-
-  Slice out{Table{out_schema}, {}};
-  std::unordered_map<Value, std::vector<int64_t>> build;
-  build.reserve(static_cast<size_t>(right.num_rows()));
-  for (int64_t r = 0; r < right.num_rows(); ++r) {
-    build[right.at(r, rkey)].push_back(r);
-  }
-  std::unordered_map<Value, bool> probed_keys;
-  for (int64_t l = 0; l < left.table.num_rows(); ++l) {
-    const Value key = left.table.at(l, lkey);
-    if (rrejects != nullptr) probed_keys.emplace(key, true);
-    const auto it = build.find(key);
-    if (it == build.end()) {
-      if (rejects != nullptr) {
-        AppendRow(rejects, left.table.row(l), left.seq[static_cast<size_t>(l)]);
-      }
+// Partition-local hash join with the serial kernel's emission order: probe
+// rows in slice order, each key's matches in build order (JoinHashTable
+// groups keep build insertion order). `ht` indexes `right` on the join
+// key. The output's provenance is the probe selection, and `rejects` gets
+// the unmatched probe rows. `hits` marks the build rows some probe row
+// matched: a co-partitioned build side holds only this partition's keys,
+// so its unmatched rows are the build-side rejects (`rrejects`); a
+// broadcast build side (null `rrejects`) sees every partition's keys, and
+// the merge barrier combines the partitions' hits instead.
+void JoinSlice(const WorkflowNode& node, const Schema& out_schema,
+               const Table& left, const Table& right, const JoinHashTable& ht,
+               Slice* out, Slice* rejects, Slice* rrejects,
+               std::vector<uint8_t>* hits) {
+  const Value* lkeys = left.column_data(left.schema().IndexOf(node.join.attr));
+  const int64_t n = left.num_rows();
+  SelVector& lsel = out->sel;
+  SelVector rsel;
+  lsel.reserve(static_cast<size_t>(n));
+  rsel.reserve(static_cast<size_t>(n));
+  for (int64_t l = 0; l < n; ++l) {
+    const JoinHashTable::RowRange range = ht.Lookup(lkeys[l]);
+    if (range.empty()) {
+      rejects->sel.push_back(l);
       continue;
     }
-    for (int64_t r : it->second) {
-      std::vector<Value> row = left.table.row(l);
-      row.reserve(row.size() + right_cols.size());
-      for (int c : right_cols) row.push_back(right.at(r, c));
-      std::vector<int64_t> seq = left.seq[static_cast<size_t>(l)];
-      const std::vector<int64_t> rseq = right_seq_of(r);
-      seq.insert(seq.end(), rseq.begin(), rseq.end());
-      AppendRow(&out, std::move(row), std::move(seq));
+    for (const int64_t* r = range.begin; r != range.end; ++r) {
+      lsel.push_back(l);
+      rsel.push_back(*r);
     }
   }
+  hits->assign(static_cast<size_t>(right.num_rows()), 0);
+  for (int64_t r : rsel) (*hits)[static_cast<size_t>(r)] = 1;
+
+  std::vector<ColumnPtr> cols;
+  cols.reserve(static_cast<size_t>(out_schema.size()));
+  for (int c = 0; c < left.num_columns(); ++c) {
+    auto col = std::make_shared<Column>();
+    GatherColumn(left.column(c), lsel, col.get());
+    cols.push_back(std::move(col));
+  }
+  for (int c = 0; c < right.num_columns(); ++c) {
+    if (right.schema().attrs()[static_cast<size_t>(c)] == node.join.attr) {
+      continue;
+    }
+    auto col = std::make_shared<Column>();
+    GatherColumn(right.column(c), rsel, col.get());
+    cols.push_back(std::move(col));
+  }
+  out->table = Table::FromColumns(out_schema, std::move(cols),
+                                  static_cast<int64_t>(lsel.size()));
+  rejects->table = Table::Gather(left, rejects->sel);
   if (rrejects != nullptr) {
     for (int64_t r = 0; r < right.num_rows(); ++r) {
-      if (probed_keys.find(right.at(r, rkey)) == probed_keys.end()) {
-        rrejects->table.AppendRowFrom(right, r);
-        rrejects->seq.push_back(right_seq_of(r));
-      }
+      if ((*hits)[static_cast<size_t>(r)] == 0) rrejects->sel.push_back(r);
     }
+    rrejects->table = Table::Gather(right, rrejects->sel);
   }
-  return out;
 }
 
-// Reassembles partition slices into one table in provenance order (each
-// slice is already provenance-sorted, so this is a k-way merge).
-Table MergeSlicesBySeq(const Schema& schema, const std::vector<Slice>& slices) {
-  Table out{schema};
-  int64_t total = 0;
-  for (const Slice& s : slices) total += s.table.num_rows();
-  out.Reserve(static_cast<size_t>(total));
-  std::vector<size_t> cursor(slices.size(), 0);
-  for (;;) {
-    int best = -1;
-    for (size_t p = 0; p < slices.size(); ++p) {
-      if (cursor[p] >= slices[p].seq.size()) continue;
-      if (best < 0 || slices[p].seq[cursor[p]] <
-                          slices[static_cast<size_t>(best)]
-                              .seq[cursor[static_cast<size_t>(best)]]) {
-        best = static_cast<int>(p);
-      }
-    }
-    if (best < 0) break;
-    const size_t b = static_cast<size_t>(best);
-    out.AppendRowFrom(slices[b].table, static_cast<int64_t>(cursor[b]));
-    ++cursor[b];
-  }
-  return out;
+// ---- merge barrier ------------------------------------------------------
+// The serial kernels emit a node's rows in the order of the primary-input
+// rows they descend from (a join: each probe row's matches together, in
+// build order). The key of slice row i of partition p is therefore
+// in_pos[p][sel[i]], that ancestor's row in the gathered input: every
+// input row lives in one partition, and a slice holds all of its input
+// rows' descendants, contiguously and in serial order.
+
+// Below this many values a merge step is not worth a pool hand-off.
+constexpr int64_t kPoolMergeValues = int64_t{1} << 16;
+
+// `pool` when a merge step moves enough values to repay the hand-off,
+// else null (the step runs on the calling thread).
+ThreadPool* MergePool(ThreadPool* pool, int64_t values) {
+  return values >= kPoolMergeValues ? pool : nullptr;
 }
 
-// The serial executor's in-switch rows_processed bookkeeping, applied to a
-// gathered node at the merge barrier (FinishNodeStep covers everything
-// after the switch).
-void AccountRowsProcessed(const WorkflowNode& node, const Table& out,
-                          ExecutionResult* result) {
-  switch (node.kind) {
-    case OpKind::kFilter:
-    case OpKind::kProject:
-    case OpKind::kTransform:
-    case OpKind::kAggregate:
-      result->rows_processed += result->node_outputs.at(node.inputs[0])
-                                    .num_rows();
-      break;
-    case OpKind::kJoin:
-      result->rows_processed +=
-          result->node_outputs.at(node.inputs[0]).num_rows() +
-          result->node_outputs.at(node.inputs[1]).num_rows();
-      break;
-    case OpKind::kMaterialize:
-    case OpKind::kSink:
-      result->rows_processed += out.num_rows();
-      break;
-    case OpKind::kSource:
-      break;
+// Merges a node's slices into its gathered table, by counting: every
+// gathered input row gets its number of descendants, an exclusive prefix
+// sum turns the counts into its first output row, and each slice then
+// hands out its rows' destinations in order and scatters its columns to
+// them. Slices touch disjoint input and output rows, so every pass but the
+// prefix sum runs on the pool. `identity` reads the slices as 1:1 with their
+// input (no selection). `first_rows` is scratch reused across merges, so
+// its pages are touched once per run. `dest`, when given, receives each slice
+// row's destination row: the node's positions.
+Table MergeSlices(const Schema& schema, const std::vector<Slice>& parts,
+                  const std::vector<SelVector>& in_pos, bool identity,
+                  ThreadPool* pool, std::vector<int64_t>* first_rows,
+                  std::vector<SelVector>* dest = nullptr) {
+  const int k = static_cast<int>(parts.size());
+  size_t in_rows = 0;
+  for (const SelVector& pos : in_pos) in_rows += pos.size();
+  int64_t out_rows = 0;
+  for (const Slice& s : parts) out_rows += s.table.num_rows();
+  auto key = [&](size_t p, int64_t i) {
+    const size_t row = static_cast<size_t>(
+        identity ? i : parts[p].sel[static_cast<size_t>(i)]);
+    return static_cast<size_t>(in_pos[p][row]);
+  };
+  const int num_cols = schema.size();
+  ThreadPool* const by_rows = MergePool(pool, out_rows);
+  ThreadPool* const by_values = MergePool(pool, out_rows * num_cols);
+  // first[g]: descendants of input rows before g, then g's next free row.
+  std::vector<int64_t>& first = *first_rows;
+  first.assign(in_rows + 1, 0);
+  ParallelForEach(by_rows, k, [&](int p) {
+    const size_t sp = static_cast<size_t>(p);
+    for (int64_t i = 0; i < parts[sp].table.num_rows(); ++i) {
+      ++first[key(sp, i) + 1];
+    }
+  });
+  for (size_t g = 1; g <= in_rows; ++g) first[g] += first[g - 1];
+
+  std::vector<ColumnPtr> cols(static_cast<size_t>(num_cols));
+  ParallelForEach(by_values, num_cols, [&](int c) {
+    cols[static_cast<size_t>(c)] =
+        std::make_shared<Column>(static_cast<size_t>(out_rows));
+  });
+  std::vector<SelVector> local;
+  std::vector<SelVector>& to = dest != nullptr ? *dest : local;
+  to.assign(static_cast<size_t>(k), SelVector());
+  ParallelForEach(by_rows, k, [&](int p) {
+    const size_t sp = static_cast<size_t>(p);
+    SelVector& d = to[sp];
+    d.resize(static_cast<size_t>(parts[sp].table.num_rows()));
+    for (size_t i = 0; i < d.size(); ++i) {
+      d[i] = first[key(sp, static_cast<int64_t>(i))]++;
+    }
+  });
+  // One task per (slice, column), so a skewed slice still spreads over
+  // the pool.
+  ParallelForEach(by_values, k * num_cols, [&](int task) {
+    const size_t sp = static_cast<size_t>(task / num_cols);
+    const int c = task % num_cols;
+    const SelVector& d = to[sp];
+    if (d.empty()) return;
+    Value* out = cols[static_cast<size_t>(c)]->data();
+    const Value* in = parts[sp].table.column_data(c);
+    for (size_t i = 0; i < d.size(); ++i) out[d[i]] = in[i];
+  });
+  return Table::FromColumns(schema, std::move(cols), out_rows);
+}
+
+// A row transform's gathered output: the gathered input's columns, shared
+// as the serial kernel shares them, plus the slices' mapped column
+// scattered to the input's positions.
+Table GatherTransform(const WorkflowNode& node, const Schema& schema,
+                      const Table& in, const std::vector<Slice>& parts,
+                      const std::vector<SelVector>& in_pos) {
+  const int c = TransformColumn(node.transform, in.schema());
+  auto col = std::make_shared<Column>(static_cast<size_t>(in.num_rows()));
+  Value* out = col->data();
+  for (size_t p = 0; p < parts.size(); ++p) {
+    const Value* mapped = parts[p].table.column_data(c);
+    const SelVector& d = in_pos[p];
+    for (size_t i = 0; i < d.size(); ++i) out[d[i]] = mapped[i];
   }
+  return WithColumn(schema, in, c, std::move(col));
+}
+
+// A broadcast join's build-side rejects: the build rows no partition
+// matched, in build order.
+Table BroadcastBuildRejects(const Table& build,
+                            const std::vector<std::vector<uint8_t>>& hits) {
+  std::vector<uint8_t> hit(static_cast<size_t>(build.num_rows()), 0);
+  for (const std::vector<uint8_t>& h : hits) {
+    for (size_t r = 0; r < h.size(); ++r) hit[r] |= h[r];
+  }
+  SelVector rejects;
+  for (size_t r = 0; r < hit.size(); ++r) {
+    if (hit[r] == 0) rejects.push_back(static_cast<int64_t>(r));
+  }
+  return Table::Gather(build, rejects);
 }
 
 // One partition's view of the run: chain progress and per-node self time.
 struct PartitionOutcome {
   bool completed = true;
   NodeId failed_node = kInvalidNode;
-  std::unordered_map<NodeId, int64_t> self_ns;
+  std::vector<int64_t> self_ns;  // by node id
 };
 
 }  // namespace
@@ -447,16 +428,18 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
   }
   const int num_partitions =
       options_.num_partitions > 0 ? options_.num_partitions : threads;
+  const size_t num_parts = static_cast<size_t>(num_partitions);
+  const size_t num_nodes = wf_->nodes().size();
   pres.partition_attr = part_attr;
   pres.used_parallel_path = true;
 
   ExecutionResult& result = pres.exec;
   obs::ScopedSpan exec_span("engine.parallel_execute");
   exec_span.Arg("workflow", wf_->name());
-  exec_span.Arg("nodes", static_cast<int64_t>(wf_->nodes().size()));
+  exec_span.Arg("nodes", static_cast<int64_t>(num_nodes));
   exec_span.Arg("workers", static_cast<int64_t>(threads));
   exec_span.Arg("partitions", static_cast<int64_t>(num_partitions));
-  result.nodes_total = static_cast<int>(wf_->nodes().size());
+  result.nodes_total = static_cast<int>(num_nodes);
   result.num_workers = threads;
   result.partitions_total = num_partitions;
 
@@ -474,6 +457,9 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
 
   auto cls = [&](NodeId id) -> const NodeClass& {
     return classes[static_cast<size_t>(id)];
+  };
+  auto copartitioned = [&](const WorkflowNode& join) {
+    return cls(join.inputs[1]).mode == Mode::kPartitioned;
   };
 
   // ---- pre phase: sources and broadcast chains, fully serial -------------
@@ -498,34 +484,38 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
     }
   }
 
-  // Per-node slice stores, slot-per-partition so workers never contend.
-  std::unordered_map<NodeId, std::vector<Slice>> slice_map;
-  std::unordered_map<NodeId, std::vector<Slice>> reject_map;
-  std::unordered_map<NodeId, std::vector<Slice>> rreject_map;
-  std::vector<PartitionOutcome> outcomes(
-      static_cast<size_t>(num_partitions));
-
+  std::vector<NodeSlices> slices(num_nodes);
+  std::vector<Positions> positions(num_nodes);
+  std::vector<PartitionOutcome> outcomes(num_parts);
+  std::optional<ThreadPool> local_pool;
   if (!result.aborted()) {
+    if (pool == nullptr) {
+      local_pool.emplace(threads);
+      pool = &*local_pool;
+    }
     // ---- partition the partitioned sources -------------------------------
-    result.partition_rows.assign(static_cast<size_t>(num_partitions), 0);
+    // A source's gathered output is the source table itself, so its
+    // positions are the partitioner's row indices.
+    const int64_t partition_start = obs::ProfileNowNs();
+    result.partition_rows.assign(num_parts, 0);
     for (const WorkflowNode& node : wf_->nodes()) {
       if (node.kind != OpKind::kSource ||
           cls(node.id).mode != Mode::kPartitioned) {
         continue;
       }
       TablePartitions parts = HashPartition(result.node_outputs.at(node.id),
-                                            part_attr, num_partitions);
-      std::vector<Slice>& slices = slice_map[node.id];
-      slices.resize(static_cast<size_t>(num_partitions));
-      for (int p = 0; p < num_partitions; ++p) {
-        const size_t sp = static_cast<size_t>(p);
-        result.partition_rows[sp] += parts.parts[sp].num_rows();
-        std::vector<std::vector<int64_t>> seq;
-        seq.reserve(parts.row_index[sp].size());
-        for (int64_t orig : parts.row_index[sp]) seq.push_back({orig});
-        slices[sp] = Slice{std::move(parts.parts[sp]), std::move(seq)};
+                                            part_attr, num_partitions, pool);
+      std::vector<Slice>& out = slices[static_cast<size_t>(node.id)].out;
+      out.resize(num_parts);
+      for (size_t p = 0; p < num_parts; ++p) {
+        result.partition_rows[p] += parts.parts[p].num_rows();
+        out[p].table = std::move(parts.parts[p]);
       }
+      positions[static_cast<size_t>(node.id)] =
+          std::make_shared<const std::vector<SelVector>>(
+              std::move(parts.row_index));
     }
+    result.partition_ns = obs::ProfileNowNs() - partition_start;
     {
       int64_t max_rows = 0;
       int64_t total_rows = 0;
@@ -539,24 +529,32 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
                          : 0.0;
     }
     for (const WorkflowNode* node : chain) {
-      slice_map[node->id].resize(static_cast<size_t>(num_partitions));
-      if (node->kind == OpKind::kJoin) {
-        reject_map[node->id].resize(static_cast<size_t>(num_partitions));
-        if (cls(node->inputs[1]).mode == Mode::kPartitioned) {
-          rreject_map[node->id].resize(static_cast<size_t>(num_partitions));
-        }
+      NodeSlices& ns = slices[static_cast<size_t>(node->id)];
+      ns.out.resize(num_parts);
+      if (node->kind != OpKind::kJoin) continue;
+      ns.rejects.resize(num_parts);
+      if (copartitioned(*node)) {
+        ns.rrejects.resize(num_parts);
+        continue;
       }
+      // Broadcast build side: the full pre-phase table, hashed once.
+      const int64_t build_start = profiling ? obs::ProfileNowNs() : 0;
+      ns.build = &result.node_outputs.at(node->inputs[1]);
+      const auto hint = options_.executor.build_rows_hints.find(node->id);
+      ns.broadcast.emplace(
+          ns.build->column_data(ns.build->schema().IndexOf(node->join.attr)),
+          ns.build->num_rows(),
+          hint != options_.executor.build_rows_hints.end() ? hint->second
+                                                           : -1);
+      if (profiling) ns.build_ns = obs::ProfileNowNs() - build_start;
+      ns.build_hits.resize(num_parts);
     }
 
     // ---- partition phase: chains on the worker pool ----------------------
-    std::optional<ThreadPool> local_pool;
-    if (pool == nullptr) {
-      local_pool.emplace(threads);
-      pool = &*local_pool;
-    }
     const Status pf = pool->ParallelFor(num_partitions, [&](int p) -> Status {
       const size_t sp = static_cast<size_t>(p);
       PartitionOutcome& outcome = outcomes[sp];
+      if (profiling) outcome.self_ns.assign(num_nodes, 0);
       obs::ScopedSpan part_span("parallel.partition");
       if (part_span.active()) {
         part_span.Arg("partition", static_cast<int64_t>(p));
@@ -564,9 +562,11 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
       const std::string part_name = std::to_string(p);
       for (const WorkflowNode* nodep : chain) {
         const WorkflowNode& node = *nodep;
+        NodeSlices& ns = slices[static_cast<size_t>(node.id)];
         const Schema& out_schema = wf_->output_schema(node.id);
-        auto part_input = [&](int i) -> const Slice& {
-          return slice_map.at(node.inputs[static_cast<size_t>(i)])[sp];
+        auto input = [&](int i) -> const Table& {
+          const NodeId in = node.inputs[static_cast<size_t>(i)];
+          return slices[static_cast<size_t>(in)].out[sp].table;
         };
         obs::ScopedSpan op_span(OpKindName(node.kind));
         int64_t start_ns = 0;
@@ -574,47 +574,42 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
         Slice out;
         Slice rejects;
         Slice rrejects;
+        std::vector<uint8_t> hits;
         switch (node.kind) {
           case OpKind::kFilter:
-            out = ApplyFilterSlice(node, out_schema, part_input(0));
+            out = FilterSlice(node, input(0));
             break;
           case OpKind::kProject:
-            out = ApplyProjectSlice(node, out_schema, part_input(0));
+            out.table = ProjectSlice(node, out_schema, input(0));
             break;
           case OpKind::kTransform:
-            out = ApplyTransformSlice(node, out_schema, part_input(0));
+            out.table = TransformSlice(node, out_schema, input(0));
             break;
           case OpKind::kMaterialize:
           case OpKind::kSink:
-            out = CopySlice(out_schema, part_input(0));
+            out.table = input(0);
             break;
-          case OpKind::kJoin: {
-            const Slice& left = part_input(0);
-            rejects = Slice{Table{left.table.schema()}, {}};
-            const bool copart =
-                cls(node.inputs[1]).mode == Mode::kPartitioned;
-            if (copart) {
-              const Slice& right = part_input(1);
-              rrejects = Slice{Table{right.table.schema()}, {}};
-              out = ApplyJoinSlice(node, out_schema, left, right.table,
-                                   &right.seq, &rejects, &rrejects);
+          case OpKind::kJoin:
+            if (ns.broadcast.has_value()) {
+              JoinSlice(node, out_schema, input(0), *ns.build, *ns.broadcast,
+                        &out, &rejects, nullptr, &hits);
             } else {
-              // Broadcast build side: the full pre-phase table. Right-side
-              // rejects need every partition's keys; the merge barrier
-              // computes them from the gathered probe input.
-              const Table& right = result.node_outputs.at(node.inputs[1]);
-              out = ApplyJoinSlice(node, out_schema, left, right, nullptr,
-                                   &rejects, nullptr);
+              const Table& right = input(1);
+              const JoinHashTable ht(
+                  right.column_data(right.schema().IndexOf(node.join.attr)),
+                  right.num_rows());
+              JoinSlice(node, out_schema, input(0), right, ht, &out, &rejects,
+                        &rrejects, &hits);
             }
             break;
-          }
           case OpKind::kSource:
           case OpKind::kAggregate:
             ETLOPT_CHECK_MSG(false, "node kind cannot run partitioned");
             break;
         }
         if (profiling) {
-          outcome.self_ns[node.id] = obs::ProfileNowNs() - start_ns;
+          outcome.self_ns[static_cast<size_t>(node.id)] =
+              obs::ProfileNowNs() - start_ns;
         }
         if (op_span.active()) {
           op_span.Arg("node", static_cast<int64_t>(node.id));
@@ -626,10 +621,9 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
         // partition's salvage surface is its completed prefix.
         if (inj != nullptr) {
           int64_t slice_rows_in = 0;
-          for (NodeId in : node.inputs) {
-            const auto it = slice_map.find(in);
-            if (it != slice_map.end()) {
-              slice_rows_in += it->second[sp].table.num_rows();
+          for (size_t i = 0; i < node.inputs.size(); ++i) {
+            if (cls(node.inputs[i]).mode == Mode::kPartitioned) {
+              slice_rows_in += input(static_cast<int>(i)).num_rows();
             }
           }
           if (inj->OnPartition(part_name, std::max<int64_t>(
@@ -640,11 +634,13 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
             return Status::OK();
           }
         }
-        slice_map.at(node.id)[sp] = std::move(out);
+        ns.out[sp] = std::move(out);
         if (node.kind == OpKind::kJoin) {
-          reject_map.at(node.id)[sp] = std::move(rejects);
-          if (cls(node.inputs[1]).mode == Mode::kPartitioned) {
-            rreject_map.at(node.id)[sp] = std::move(rrejects);
+          ns.rejects[sp] = std::move(rejects);
+          if (ns.broadcast.has_value()) {
+            ns.build_hits[sp] = std::move(hits);
+          } else {
+            ns.rrejects[sp] = std::move(rrejects);
           }
         }
       }
@@ -670,7 +666,23 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
   }
   if (result.aborted()) result.partitions_completed = 0;
 
+  // Merges still to read each node's positions; a node's positions are
+  // dropped once its last consumer has merged.
+  std::vector<int> uses(num_nodes, 0);
+  for (const WorkflowNode* node : chain) {
+    ++uses[static_cast<size_t>(node->inputs[0])];
+    if (node->kind == OpKind::kJoin && copartitioned(*node)) {
+      ++uses[static_cast<size_t>(node->inputs[1])];
+    }
+  }
+  auto release = [&](NodeId id) {
+    if (--uses[static_cast<size_t>(id)] == 0) {
+      positions[static_cast<size_t>(id)].reset();
+    }
+  };
+
   // ---- merge barrier + post phase, interleaved in plan order -------------
+  std::vector<int64_t> first_rows;  // MergeSlices scratch
   if (!result.aborted()) {
     for (const WorkflowNode& node : wf_->nodes()) {
       const NodeClass& c = cls(node.id);
@@ -698,63 +710,79 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
         continue;
       }
       // Partitioned node: gather its slices back into the serial row order.
+      // After a partition crash some slices are missing, so every node
+      // merges from its slices; otherwise a 1:1 node is built from its
+      // gathered input as the serial kernel builds it.
+      const bool partial = result.aborted();
       const int64_t merge_start = obs::ProfileNowNs();
-      Table gathered =
-          MergeSlicesBySeq(wf_->output_schema(node.id), slice_map.at(node.id));
+      NodeSlices& ns = slices[static_cast<size_t>(node.id)];
+      const NodeId left = node.inputs[0];
+      const Positions& in_pos = positions[static_cast<size_t>(left)];
+      Positions& pos = positions[static_cast<size_t>(node.id)];
+      Table gathered;
       Table rejects;
       Table rrejects;
-      if (node.kind == OpKind::kJoin) {
-        rejects = MergeSlicesBySeq(wf_->output_schema(node.inputs[0]),
-                                   reject_map.at(node.id));
-        const auto rr = rreject_map.find(node.id);
-        if (rr != rreject_map.end()) {
-          rrejects = MergeSlicesBySeq(wf_->output_schema(node.inputs[1]),
-                                      rr->second);
+      bool computed = false;  // ComputeNodeOutput did the bookkeeping
+      if (!partial && MapsRowsOneToOne(node)) {
+        pos = in_pos;
+        if (node.kind == OpKind::kTransform) {
+          gathered = GatherTransform(node, wf_->output_schema(node.id),
+                                     result.node_outputs.at(left), ns.out,
+                                     *in_pos);
         } else {
-          // Broadcast build side: its rejects are global, not
-          // partition-local — the serial scan over the gathered probe side.
-          const Table& left = result.node_outputs.at(node.inputs[0]);
-          const Table& right = result.node_outputs.at(node.inputs[1]);
-          const int lkey = left.schema().IndexOf(node.join.attr);
-          const int rkey = right.schema().IndexOf(node.join.attr);
-          if (VectorizedKernels()) {
-            const JoinHashTable left_keys(left.column_data(lkey),
-                                          left.num_rows());
-            const Value* rvals = right.column_data(rkey);
-            SelVector rr;
-            for (int64_t r = 0; r < right.num_rows(); ++r) {
-              if (!left_keys.Contains(rvals[r])) rr.push_back(r);
-            }
-            rrejects = Table::Gather(right, rr);
-          } else {
-            std::unordered_map<Value, bool> left_keys;
-            for (int64_t l = 0; l < left.num_rows(); ++l) {
-              left_keys.emplace(left.at(l, lkey), true);
-            }
-            rrejects = Table{right.schema()};
-            for (int64_t r = 0; r < right.num_rows(); ++r) {
-              if (left_keys.find(right.at(r, rkey)) == left_keys.end()) {
-                rrejects.AppendRowFrom(right, r);
-              }
-            }
-          }
+          ETLOPT_RETURN_IF_ERROR(ComputeNodeOutput(ctx, node, &gathered));
+          computed = true;
+        }
+      } else {
+        std::vector<SelVector> dest;
+        gathered = MergeSlices(wf_->output_schema(node.id), ns.out, *in_pos,
+                               MapsRowsOneToOne(node), pool, &first_rows,
+                               &dest);
+        pos = std::make_shared<const std::vector<SelVector>>(std::move(dest));
+        if (node.kind == OpKind::kJoin) {
+          rejects = MergeSlices(wf_->output_schema(left), ns.rejects, *in_pos,
+                                false, pool, &first_rows);
+          const NodeId right = node.inputs[1];
+          rrejects = ns.broadcast.has_value()
+                         ? BroadcastBuildRejects(*ns.build, ns.build_hits)
+                         : MergeSlices(wf_->output_schema(right), ns.rrejects,
+                                       *positions[static_cast<size_t>(right)],
+                                       false, pool, &first_rows);
         }
       }
+      // The node's provenance and join side tables are spent; its slice
+      // tables stay for the taps.
+      for (Slice& s : ns.out) s.sel = SelVector();
+      ns.rejects.clear();
+      ns.rrejects.clear();
+      ns.build_hits.clear();
+      ns.broadcast.reset();
+      release(left);
+      if (node.kind == OpKind::kJoin && copartitioned(node)) {
+        release(node.inputs[1]);
+      }
+      if (uses[static_cast<size_t>(node.id)] == 0) pos.reset();
       result.merge_ns += obs::ProfileNowNs() - merge_start;
-      if (!result.aborted()) {
+
+      if (!partial) {
         if (node.kind == OpKind::kJoin) {
           result.join_rejects[node.id] = std::move(rejects);
           result.join_rejects_right[node.id] = std::move(rrejects);
         }
-        if (node.kind == OpKind::kMaterialize ||
-            node.kind == OpKind::kSink) {
-          result.targets[node.target_name] = gathered;
+        if (!computed) {
+          // The serial kernels' bookkeeping: every partitioned kind
+          // processes exactly its input rows.
+          for (NodeId in : node.inputs) {
+            result.rows_processed += result.node_outputs.at(in).num_rows();
+          }
         }
-        AccountRowsProcessed(node, gathered, &result);
-        int64_t self_ns = 0;
-        for (const PartitionOutcome& o : outcomes) {
-          const auto it = o.self_ns.find(node.id);
-          if (it != o.self_ns.end()) self_ns += it->second;
+        int64_t self_ns = ns.build_ns;
+        if (profiling) {
+          for (const PartitionOutcome& o : outcomes) {
+            if (!o.self_ns.empty()) {
+              self_ns += o.self_ns[static_cast<size_t>(node.id)];
+            }
+          }
         }
         FinishNodeStep(ctx, node, std::move(gathered), self_ns);
       } else if (partition_crashed) {
@@ -778,16 +806,19 @@ Result<ParallelResult> ParallelExecutor::Execute(const SourceMap& sources,
   ETLOPT_COUNTER_ADD("etlopt.engine.executions", 1);
   ETLOPT_COUNTER_ADD("etlopt.engine.rows_processed", result.rows_processed);
   ETLOPT_COUNTER_ADD("etlopt.engine.bytes_processed", result.bytes_processed);
+  ETLOPT_COUNTER_ADD("etlopt.parallel.partition_ns", result.partition_ns);
   ETLOPT_COUNTER_ADD("etlopt.parallel.merge_ns", result.merge_ns);
   ETLOPT_GAUGE_SET("etlopt.parallel.workers", result.num_workers);
   ETLOPT_GAUGE_SET("etlopt.parallel.partitions", result.partitions_total);
   ETLOPT_GAUGE_SET("etlopt.parallel.skew", result.partition_skew);
 
   // Hand the slices to the caller (the per-partition tap surface).
-  for (auto& [id, slices] : slice_map) {
-    std::vector<Table>& tables = pres.slices[id];
-    tables.reserve(slices.size());
-    for (Slice& s : slices) tables.push_back(std::move(s.table));
+  for (size_t id = 0; id < num_nodes; ++id) {
+    std::vector<Slice>& out = slices[id].out;
+    if (out.empty()) continue;
+    std::vector<Table>& tables = pres.slices[static_cast<NodeId>(id)];
+    tables.reserve(num_parts);
+    for (Slice& s : out) tables.push_back(std::move(s.table));
   }
   return pres;
 }

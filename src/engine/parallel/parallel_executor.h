@@ -49,14 +49,16 @@ struct ParallelResult {
 // serially, exactly like every node does on the serial path.
 //
 // Determinism and equivalence: partition placement is a pure hash of the
-// key value, and every partition-local row carries its provenance (original
-// source row indices in join-nesting order). The merge barrier reassembles
-// slices in provenance order, which *is* the serial executor's emission
-// order — so node outputs, targets, reject tables, and therefore every
-// observed statistic are bit-identical to a serial run, for any worker or
-// partition count. (One caveat: a co-partitioned join always uses the hash
-// kernel, so joins explicitly planned as sort-merge gather instead of
-// partitioning, keeping even their row order exact.)
+// key value, and every partition-local row carries its provenance (the row
+// of its primary input slice it descends from). The serial kernels emit
+// rows in the order of the input rows they descend from, so the merge
+// barrier reassembles each node from its input's gathered positions in the
+// serial executor's emission order — node outputs, targets, reject tables,
+// and therefore every observed statistic are bit-identical to a serial
+// run, for any worker or partition count. (One caveat: a co-partitioned
+// join always uses the hash kernel, so joins explicitly planned as
+// sort-merge gather instead of partitioning, keeping even their row order
+// exact.)
 //
 // Failure semantics mirror the serial executor, partition-granular: a
 // partition-scoped crash ("partition:1:crash") drops that partition from

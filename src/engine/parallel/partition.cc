@@ -23,31 +23,54 @@ int HashPartitionIndex(Value v, int num_partitions) {
 
 namespace {
 
-TablePartitions MakeEmpty(const Table& table, int num_partitions) {
+// `part[r]` is row r's partition. Each slice selects its rows and gathers
+// them (on the pool when one is given); the selection becomes its
+// row_index.
+TablePartitions GatherPartitions(const Table& table,
+                                 const std::vector<uint32_t>& part,
+                                 int num_partitions, ThreadPool* pool) {
+  std::vector<size_t> counts(static_cast<size_t>(num_partitions), 0);
+  for (uint32_t p : part) ++counts[p];
   TablePartitions out;
-  out.parts.reserve(static_cast<size_t>(num_partitions));
+  out.parts.resize(static_cast<size_t>(num_partitions));
   out.row_index.resize(static_cast<size_t>(num_partitions));
-  for (int p = 0; p < num_partitions; ++p) {
-    out.parts.emplace_back(table.schema());
-  }
+  auto slice = [&](int p) {
+    const uint32_t up = static_cast<uint32_t>(p);
+    SelVector& sel = out.row_index[up];
+    // Branchless selection, as BuildSelection does it; the spare slot
+    // takes the write after the last match.
+    sel.resize(counts[up] + 1);
+    size_t k = 0;
+    for (size_t r = 0; r < part.size(); ++r) {
+      sel[k] = static_cast<int64_t>(r);
+      k += part[r] == up ? 1 : 0;
+    }
+    sel.resize(k);
+    out.parts[up] = Table::Gather(table, sel);
+  };
+  ParallelForEach(pool, num_partitions, slice);
   return out;
 }
 
 }  // namespace
 
 TablePartitions HashPartition(const Table& table, AttrId attr,
-                              int num_partitions) {
+                              int num_partitions, ThreadPool* pool) {
   ETLOPT_CHECK(num_partitions > 0);
   const int col = table.schema().IndexOf(attr);
   ETLOPT_CHECK_MSG(col >= 0, "partition attribute missing from schema");
-  TablePartitions out = MakeEmpty(table, num_partitions);
   const Value* keys = table.column_data(col);
-  for (int64_t r = 0; r < table.num_rows(); ++r) {
-    const int p = HashPartitionIndex(keys[r], num_partitions);
-    out.parts[static_cast<size_t>(p)].AppendRowFrom(table, r);
-    out.row_index[static_cast<size_t>(p)].push_back(r);
-  }
-  return out;
+  const uint64_t fan_out = static_cast<uint64_t>(num_partitions);
+  std::vector<uint32_t> part(static_cast<size_t>(table.num_rows()));
+  // Placement in num_partitions row ranges, one task each.
+  ParallelForEach(pool, num_partitions, [&](int chunk) {
+    const size_t n = part.size();
+    const size_t end = n * static_cast<size_t>(chunk + 1) / fan_out;
+    for (size_t r = n * static_cast<size_t>(chunk) / fan_out; r < end; ++r) {
+      part[r] = static_cast<uint32_t>(PartitionHashValue(keys[r]) % fan_out);
+    }
+  });
+  return GatherPartitions(table, part, num_partitions, pool);
 }
 
 TablePartitions RangePartition(const Table& table, AttrId attr,
@@ -56,21 +79,19 @@ TablePartitions RangePartition(const Table& table, AttrId attr,
   const int col = table.schema().IndexOf(attr);
   ETLOPT_CHECK_MSG(col >= 0, "partition attribute missing from schema");
   const int num_partitions = static_cast<int>(upper_bounds.size()) + 1;
-  TablePartitions out = MakeEmpty(table, num_partitions);
   const Value* keys = table.column_data(col);
-  for (int64_t r = 0; r < table.num_rows(); ++r) {
-    const Value v = keys[r];
-    int p = num_partitions - 1;
+  std::vector<uint32_t> part(static_cast<size_t>(table.num_rows()));
+  for (size_t r = 0; r < part.size(); ++r) {
+    uint32_t p = static_cast<uint32_t>(upper_bounds.size());
     for (size_t b = 0; b < upper_bounds.size(); ++b) {
-      if (v <= upper_bounds[b]) {
-        p = static_cast<int>(b);
+      if (keys[r] <= upper_bounds[b]) {
+        p = static_cast<uint32_t>(b);
         break;
       }
     }
-    out.parts[static_cast<size_t>(p)].AppendRowFrom(table, r);
-    out.row_index[static_cast<size_t>(p)].push_back(r);
+    part[r] = p;
   }
-  return out;
+  return GatherPartitions(table, part, num_partitions, nullptr);
 }
 
 double PartitionSkew(const TablePartitions& partitions) {

@@ -6,6 +6,7 @@
 
 #include "engine/table.h"
 #include "etl/types.h"
+#include "util/thread_pool.h"
 
 namespace etlopt {
 namespace parallel {
@@ -37,8 +38,10 @@ struct TablePartitions {
 
 // Hash-partitions `table` on `attr` (which must be in the schema) into
 // `num_partitions` slices. Rows keep their relative order inside each slice.
+// One pass places every row; each slice then selects its rows and gathers
+// them, on `pool` when one is given.
 TablePartitions HashPartition(const Table& table, AttrId attr,
-                              int num_partitions);
+                              int num_partitions, ThreadPool* pool = nullptr);
 
 // Range-partitions `table` on `attr`: slice p receives rows with
 // value <= upper_bounds[p] (and the last slice everything above the final

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <exception>
 
+#include "util/common.h"
+
 namespace etlopt {
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -79,6 +81,19 @@ Status ThreadPool::ParallelFor(int n, const std::function<Status(int)>& fn) {
   std::unique_lock<std::mutex> lock(done_mu);
   done_cv.wait(lock, [&] { return remaining == 0; });
   return failed_index < n ? failure : Status::OK();
+}
+
+void ParallelForEach(ThreadPool* pool, int n,
+                     const std::function<void(int)>& fn) {
+  if (pool == nullptr || n < 2) {
+    for (int i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  const Status status = pool->ParallelFor(n, [&fn](int i) {
+    fn(i);
+    return Status::OK();
+  });
+  ETLOPT_CHECK_MSG(status.ok(), status.ToString());
 }
 
 }  // namespace etlopt

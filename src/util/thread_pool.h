@@ -57,6 +57,12 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+// Runs fn(0) .. fn(n - 1) on `pool`, or on the calling thread when `pool`
+// is null or there is a single index. For tasks that cannot fail: an
+// exception escaping one is a bug, and checked.
+void ParallelForEach(ThreadPool* pool, int n,
+                     const std::function<void(int)>& fn);
+
 }  // namespace etlopt
 
 #endif  // ETLOPT_UTIL_THREAD_POOL_H_

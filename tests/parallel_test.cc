@@ -318,6 +318,141 @@ TEST(ParallelExecutorTest, RepeatedRunsWithPinnedPartitionsAreIdentical) {
   ExpectExecutionsIdentical(serial, first.exec);
 }
 
+// Runs `wf` partitioned at 1, 2, 3, 4 and 8 partitions on two workers and
+// checks every run against the serial executor, including that each
+// node's slices hold exactly its gathered rows.
+void ExpectBitIdenticalAcrossPartitionCounts(const Workflow& wf,
+                                             const SourceMap& sources) {
+  const ExecutionResult serial = Executor(&wf).Execute(sources).value();
+  ThreadPool pool(2);
+  for (int parts : {1, 2, 3, 4, 8}) {
+    SCOPED_TRACE("partitions=" + std::to_string(parts));
+    ParallelOptions opts;
+    opts.num_threads = 2;
+    opts.num_partitions = parts;
+    const ParallelResult par =
+        ParallelExecutor(&wf, opts).Execute(sources, &pool).value();
+    ASSERT_TRUE(par.used_parallel_path);
+    EXPECT_EQ(par.exec.partitions_total, parts);
+    ExpectExecutionsIdentical(serial, par.exec);
+    for (const auto& [id, tables] : par.slices) {
+      ASSERT_EQ(tables.size(), static_cast<size_t>(parts)) << "node " << id;
+      int64_t rows = 0;
+      for (const Table& t : tables) rows += t.num_rows();
+      EXPECT_EQ(rows, serial.node_outputs.at(id).num_rows()) << "node " << id;
+    }
+  }
+}
+
+Table RandomTable(const std::vector<AttrId>& attrs,
+                  const std::vector<int64_t>& domains, int rows,
+                  uint64_t seed) {
+  Rng rng(seed);
+  Table t{Schema(attrs)};
+  for (int i = 0; i < rows; ++i) {
+    std::vector<Value> row;
+    for (int64_t domain : domains) row.push_back(rng.NextInRange(1, domain));
+    t.AddRow(row);
+  }
+  return t;
+}
+
+TEST(ParallelExecutorTest, CoPartitionedDuplicateKeysDeepChainBitIdentical) {
+  // Three nested co-partitioned joins with duplicate keys on both sides:
+  // every probe row fans out to several build rows at every level, so the
+  // serial order of the top join is decided by ties several joins deep.
+  WorkflowBuilder b("deep");
+  const AttrId k = b.DeclareAttr("k", 20);
+  const AttrId a = b.DeclareAttr("a", 10);
+  const AttrId bb = b.DeclareAttr("b", 10);
+  const AttrId c = b.DeclareAttr("c", 10);
+  const AttrId d = b.DeclareAttr("d", 10);
+  const NodeId fact = b.Source("A", {k, a});
+  const NodeId f = b.Filter(fact, {a, CompareOp::kLt, 8});
+  const NodeId j1 = b.Join(f, b.Source("B", {k, bb}), k);
+  const NodeId t = b.Transform(j1, bb, [](Value x) { return x % 3; });
+  const NodeId j2 = b.Join(t, b.Source("C", {k, c}), k, {/*reject_link=*/true});
+  const NodeId j3 = b.Join(j2, b.Source("D", {k, d}), k);
+  b.Sink(j3, "out");
+  Workflow wf = std::move(b).Build().value();
+
+  SourceMap sources;
+  sources["A"] = RandomTable({k, a}, {20, 10}, 400, 21);
+  sources["B"] = RandomTable({k, bb}, {20, 10}, 150, 22);
+  sources["C"] = RandomTable({k, c}, {24, 10}, 90, 23);
+  sources["D"] = RandomTable({k, d}, {20, 10}, 60, 24);
+  ExpectBitIdenticalAcrossPartitionCounts(wf, sources);
+}
+
+TEST(ParallelExecutorTest, MorePartitionsThanDistinctKeysLeavesEmptySlices) {
+  WorkflowBuilder b("few_keys");
+  const AttrId k = b.DeclareAttr("k", 3);
+  const AttrId v = b.DeclareAttr("v", 10);
+  const NodeId f =
+      b.Filter(b.Source("Fact", {k, v}), {v, CompareOp::kGe, 3});
+  const NodeId j = b.Join(f, b.Source("Dim", {k}), k);
+  const NodeId t = b.Transform(j, v, [](Value x) { return x + 100; });
+  b.Sink(t, "out");
+  Workflow wf = std::move(b).Build().value();
+
+  SourceMap sources;
+  sources["Fact"] = RandomTable({k, v}, {3, 10}, 300, 31);
+  sources["Dim"] = RandomTable({k}, {3}, 5, 32);
+  ExpectBitIdenticalAcrossPartitionCounts(wf, sources);
+
+  ParallelOptions opts;
+  opts.num_threads = 2;
+  opts.num_partitions = 8;
+  const ParallelResult par =
+      ParallelExecutor(&wf, opts).Execute(sources).value();
+  int empty = 0;
+  for (int64_t rows : par.exec.partition_rows) empty += rows == 0 ? 1 : 0;
+  EXPECT_GE(empty, 5);  // at most three partitions can receive a key
+}
+
+TEST(ParallelExecutorTest, OneToOneNodesAfterJoinShareTheGatheredColumns) {
+  // Project, transform and materialize above a co-partitioned and a
+  // broadcast join: their gathered outputs are built from the join's, as
+  // the serial kernels build them, instead of being merged again.
+  WorkflowBuilder b("reuse");
+  const AttrId k = b.DeclareAttr("k", 40);
+  const AttrId g = b.DeclareAttr("g", 6);
+  const AttrId v = b.DeclareAttr("v", 50);
+  const AttrId w = b.DeclareAttr("w", 9);
+  const AttrId x = b.DeclareAttr("x", 7);
+  const NodeId j1 =
+      b.Join(b.Source("Fact", {k, g, v}), b.Source("Dim", {k, w}), k);
+  const NodeId j2 = b.Join(j1, b.Source("Grp", {g, x}), g);
+  const NodeId p = b.Project(j2, {k, v, x});
+  const NodeId t = b.Transform(p, v, [](Value y) { return y * 7 % 11; });
+  const NodeId m = b.Materialize(t, "staged");
+  b.Sink(m, "out");
+  Workflow wf = std::move(b).Build().value();
+
+  SourceMap sources;
+  sources["Fact"] = RandomTable({k, g, v}, {40, 6, 50}, 700, 41);
+  sources["Dim"] = RandomTable({k, w}, {40, 9}, 50, 42);
+  sources["Grp"] = RandomTable({g, x}, {7, 7}, 12, 43);
+  ExpectBitIdenticalAcrossPartitionCounts(wf, sources);
+
+  ParallelOptions opts;
+  opts.num_threads = 4;
+  const ParallelResult par =
+      ParallelExecutor(&wf, opts).Execute(sources).value();
+  ASSERT_TRUE(par.used_parallel_path);
+  const Table& joined = par.exec.node_outputs.at(j2);
+  const Table& projected = par.exec.node_outputs.at(p);
+  const Table& transformed = par.exec.node_outputs.at(t);
+  EXPECT_EQ(projected.shared_column(0),
+            joined.shared_column(joined.schema().IndexOf(k)));
+  EXPECT_EQ(projected.shared_column(2),
+            joined.shared_column(joined.schema().IndexOf(x)));
+  EXPECT_EQ(transformed.shared_column(0), projected.shared_column(0));
+  EXPECT_NE(transformed.shared_column(1), projected.shared_column(1));
+  EXPECT_EQ(par.exec.node_outputs.at(m).shared_column(1),
+            transformed.shared_column(1));
+}
+
 // ---- observed statistics through the pipeline --------------------------
 
 std::vector<std::string> BlockStatsText(const RunOutcome& run) {
@@ -466,6 +601,79 @@ TEST_F(ParallelFaultTest, PartitionCrashSalvagesCompletedPartitions) {
   int64_t watermark_rows = 0;
   for (int64_t rows : ckpt->partition_rows) watermark_rows += rows;
   EXPECT_GT(watermark_rows, 0);
+}
+
+TEST_F(ParallelFaultTest, PartitionCrashMidChainSalvagesOtherPartitionsRows) {
+  // Partition 1 crashes at the second chain node (its input rows push the
+  // crash threshold past the filter's). Nodes before the crash gather
+  // every partition; the crash node and everything after it gather the
+  // other partitions, which on the key-preserving chain are exactly the
+  // serial rows whose key does not hash to partition 1.
+  WorkflowBuilder b("crash_chain");
+  const AttrId k = b.DeclareAttr("k", 30);
+  const AttrId v = b.DeclareAttr("v", 20);
+  const AttrId w = b.DeclareAttr("w", 5);
+  const NodeId src = b.Source("Fact", {k, v});
+  const NodeId f = b.Filter(src, {v, CompareOp::kLt, 16});
+  const NodeId j1 = b.Join(f, b.Source("Dim", {k, w}), k);
+  const NodeId t = b.Transform(j1, v, [](Value x) { return x * 3; });
+  const NodeId p = b.Project(t, {k, v});
+  b.Sink(p, "out");
+  Workflow wf = std::move(b).Build().value();
+
+  SourceMap sources;
+  sources["Fact"] = RandomTable({k, v}, {30, 20}, 500, 51);
+  sources["Dim"] = RandomTable({k, w}, {30, 5}, 40, 52);
+  constexpr int kParts = 4;
+  int64_t part1_rows = 0;
+  const Table& fact = sources.at("Fact");
+  for (int64_t r = 0; r < fact.num_rows(); ++r) {
+    part1_rows += HashPartitionIndex(fact.at(r, 0), kParts) == 1 ? 1 : 0;
+  }
+  const ExecutionResult serial = Executor(&wf).Execute(sources).value();
+  ASSERT_TRUE(FaultInjector::InstallGlobal(
+                  "seed=3;partition:1:crash_after_rows=" +
+                  std::to_string(part1_rows + 1))
+                  .ok());
+  ParallelOptions opts;
+  opts.num_threads = 2;
+  opts.num_partitions = kParts;
+  const ParallelResult par =
+      ParallelExecutor(&wf, opts).Execute(sources).value();
+  const ExecutionResult& exec = par.exec;
+  ASSERT_TRUE(exec.aborted());
+  EXPECT_EQ(exec.abort_kind, AbortKind::kCrash);
+  EXPECT_EQ(exec.abort_node, j1);
+  EXPECT_EQ(exec.partitions_completed, kParts - 1);
+  EXPECT_EQ(exec.targets.count("out"), 0u);
+
+  auto without_partition1 = [&](const Table& table) {
+    const int key = table.schema().IndexOf(k);
+    SelVector keep;
+    for (int64_t r = 0; r < table.num_rows(); ++r) {
+      if (HashPartitionIndex(table.at(r, key), kParts) != 1) keep.push_back(r);
+    }
+    return Table::Gather(table, keep);
+  };
+  ExpectTablesIdentical(serial.node_outputs.at(f), exec.node_outputs.at(f),
+                        "filter before the crash");
+  for (NodeId id : {j1, t, p}) {
+    ExpectTablesIdentical(without_partition1(serial.node_outputs.at(id)),
+                          exec.node_outputs.at(id),
+                          "salvaged node " + std::to_string(id));
+  }
+  ExpectTablesIdentical(without_partition1(serial.join_rejects.at(j1)),
+                        exec.join_rejects.at(j1), "salvaged join rejects");
+  ExpectTablesIdentical(without_partition1(serial.join_rejects_right.at(j1)),
+                        exec.join_rejects_right.at(j1),
+                        "salvaged build-side rejects");
+  EXPECT_EQ(exec.nodes_partial, 4);  // the join, transform, project, sink
+  // Slices: every partition's before the crash, none of partition 1's
+  // from the crash node on.
+  int64_t filter_rows = 0;
+  for (const Table& slice : par.slices.at(f)) filter_rows += slice.num_rows();
+  EXPECT_EQ(filter_rows, serial.node_outputs.at(f).num_rows());
+  EXPECT_EQ(par.slices.at(j1)[1].num_rows(), 0);
 }
 
 TEST_F(ParallelFaultTest, PartitionCrashIsDeterministic) {
