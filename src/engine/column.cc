@@ -1,34 +1,12 @@
 #include "engine/column.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 #include "util/logging.h"
 
 namespace etlopt {
-namespace {
-
-bool VectorizedFromEnv() {
-  const char* value = std::getenv("ETLOPT_VECTORIZED");
-  if (value == nullptr || *value == '\0') return true;
-  return !(std::strcmp(value, "0") == 0 || std::strcmp(value, "off") == 0 ||
-           std::strcmp(value, "false") == 0);
-}
-
-std::atomic<bool>& VectorizedFlag() {
-  static std::atomic<bool> flag{VectorizedFromEnv()};
-  return flag;
-}
-
-}  // namespace
-
-bool VectorizedKernels() {
-  return VectorizedFlag().load(std::memory_order_relaxed);
-}
 
 void SetVectorizedKernels(bool on) {
-  VectorizedFlag().store(on, std::memory_order_relaxed);
+  ETLOPT_CHECK_MSG(on, "the row-at-a-time kernels were removed; only the "
+                       "vectorized engine remains");
 }
 
 namespace {
@@ -157,6 +135,44 @@ JoinHashTable::RowRange JoinHashTable::Lookup(Value key) const {
     }
     slot = (slot + 1) & mask_;
   }
+}
+
+void JoinHashTable::Probe(const Value* keys, int64_t n, JoinProbe* out,
+                          SelVector* unmatched,
+                          std::vector<uint8_t>* build_hits) const {
+  out->probe_sel.clear();
+  out->build_sel.clear();
+  if (unmatched != nullptr) unmatched->clear();
+  out->probe_sel.reserve(static_cast<size_t>(n));
+  out->build_sel.reserve(static_cast<size_t>(n));
+  if (build_hits != nullptr) build_hits->assign(row_ids_.size(), 0);
+  for (int64_t l = 0; l < n; ++l) {
+    const RowRange range = Lookup(keys[l]);
+    if (range.empty()) {
+      if (unmatched != nullptr) unmatched->push_back(l);
+      continue;
+    }
+    // A group's rows are marked together, so its first row tells whether
+    // the group was hit before.
+    if (build_hits != nullptr &&
+        (*build_hits)[static_cast<size_t>(*range.begin)] == 0) {
+      for (const int64_t* r = range.begin; r != range.end; ++r) {
+        (*build_hits)[static_cast<size_t>(*r)] = 1;
+      }
+    }
+    for (const int64_t* r = range.begin; r != range.end; ++r) {
+      out->probe_sel.push_back(l);
+      out->build_sel.push_back(*r);
+    }
+  }
+}
+
+SelVector UnmarkedRows(const std::vector<uint8_t>& marks) {
+  SelVector rows;
+  for (size_t r = 0; r < marks.size(); ++r) {
+    if (marks[r] == 0) rows.push_back(static_cast<int64_t>(r));
+  }
+  return rows;
 }
 
 Value StringDictionary::Intern(const std::string& s) {

@@ -35,12 +35,10 @@ inline uint64_t Hash64(Value v) {
   return x ^ (x >> 31);
 }
 
-// Whether the engine runs the batch-at-a-time kernels (default) or the
-// legacy row-at-a-time loops kept for the golden equivalence suite and
-// old-vs-new benchmarking. Initialized from ETLOPT_VECTORIZED ("0" / "off"
-// / "false" disable); both paths produce bit-identical outputs and
-// statistics.
-bool VectorizedKernels();
+// Retired switch between the vectorized kernels and the row-at-a-time
+// kernels they replaced; only the vectorized engine remains. The end-to-end
+// benchmark driver (lifecycle_bench) still calls it with `true`, so it stays
+// as a checked no-op until that call is dropped: `false` aborts.
 void SetVectorizedKernels(bool on);
 
 // Appends to `sel` the row positions in [0, n) whose value satisfies
@@ -55,6 +53,14 @@ void GatherColumn(const Column& src, const SelVector& sel, Column* out);
 // out[i] = fn(in[i]) for i in [0, n): the batched UDF transform kernel.
 void MapColumn(const std::function<Value(Value)>& fn, const Value* in,
                int64_t n, Column* out);
+
+// A probe's matches: output row i joins probe row probe_sel[i] with build
+// row build_sel[i] (probe rows in order, each key's matches in build
+// order).
+struct JoinProbe {
+  SelVector probe_sel;
+  SelVector build_sel;
+};
 
 // Open-addressing hash table over a build-side key column, laid out for the
 // cache-friendly probe loop of the vectorized hash join: one pass assigns
@@ -78,7 +84,16 @@ class JoinHashTable {
 
   // Build row ids holding `key`, in build row order; empty when absent.
   RowRange Lookup(Value key) const;
-  bool Contains(Value key) const { return !Lookup(key).empty(); }
+
+  // The hash-join probe, the one loop every join evaluation runs (serial
+  // and partitioned joins, broadcast build sides, the reject side-joins of
+  // the taps): probes keys[0..n) in order into `out`. When non-null,
+  // `unmatched` receives the probe rows without a match, ascending, and
+  // `build_hits` is resized to num_rows() and marks the build rows some
+  // probe key matched. A key group is marked once, on its first hit, so the
+  // marks cost O(build rows), not O(output rows).
+  void Probe(const Value* keys, int64_t n, JoinProbe* out,
+             SelVector* unmatched, std::vector<uint8_t>* build_hits) const;
 
   int64_t num_keys() const { return static_cast<int64_t>(group_key_.size()); }
   int64_t num_rows() const { return static_cast<int64_t>(row_ids_.size()); }
@@ -91,6 +106,10 @@ class JoinHashTable {
   std::vector<int64_t> group_start_;  // group id -> offset into row_ids_
   std::vector<int64_t> row_ids_;      // build row ids, grouped, build order
 };
+
+// The rows whose mark is 0, ascending: a join's build-side rejects from
+// the probe's build-row hit marks.
+SelVector UnmarkedRows(const std::vector<uint8_t>& marks);
 
 // Interns strings to dense ids so string-typed source attributes flow
 // through the engine as ordinary Value columns (the dictionary encoding of

@@ -106,135 +106,76 @@ Executor::Executor(const Workflow* workflow, ExecutorOptions options)
 namespace {
 
 // Output schema of a join: left attrs then right attrs minus the key
-// (mirrors Workflow::Finalize). Also yields the right columns to carry.
-Schema JoinOutputSchema(const Table& left, const Table& right, AttrId attr,
-                        std::vector<int>* right_cols) {
+// (mirrors Workflow::Finalize).
+Schema JoinOutputSchema(const Table& left, const Table& right, AttrId attr) {
   std::vector<AttrId> out_attrs = left.schema().attrs();
-  for (int i = 0; i < right.schema().size(); ++i) {
-    const AttrId a = right.schema().attrs()[static_cast<size_t>(i)];
-    if (a != attr) {
-      out_attrs.push_back(a);
-      right_cols->push_back(i);
-    }
+  for (AttrId a : right.schema().attrs()) {
+    if (a != attr) out_attrs.push_back(a);
   }
   return Schema(out_attrs);
 }
 
-// Legacy row-at-a-time hash join: unordered_map build, per-match row
-// materialization. Kept as the golden-suite / benchmark baseline.
-void HashJoinRows(const Table& left, const Table& right, int lkey, int rkey,
-                  const std::vector<int>& right_cols,
-                  int64_t build_rows_hint, Table* out, Table* rejects,
-                  int64_t* build_ns, int64_t* probe_ns) {
-  Timer phase;
-  std::unordered_map<Value, std::vector<int64_t>> build;
-  build.reserve(static_cast<size_t>(
-      build_rows_hint > 0 ? build_rows_hint : right.num_rows()));
-  for (int64_t r = 0; r < right.num_rows(); ++r) {
-    build[right.at(r, rkey)].push_back(r);
-  }
-  *build_ns = ElapsedNs(phase);
-
-  phase.Restart();
-  const size_t out_width = static_cast<size_t>(out->schema().size());
-  for (int64_t l = 0; l < left.num_rows(); ++l) {
-    const auto it = build.find(left.at(l, lkey));
-    if (it == build.end()) {
-      if (rejects != nullptr) {
-        rejects->AppendRowFrom(left, l);
-      }
-      continue;
-    }
-    for (int64_t r : it->second) {
-      std::vector<Value> row = left.row(l);
-      row.reserve(out_width);
-      for (int c : right_cols) {
-        row.push_back(right.at(r, c));
-      }
-      out->AddRow(row);
-    }
-  }
-  *probe_ns = ElapsedNs(phase);
-}
-
-// Vectorized hash join: JoinHashTable precomputes 64-bit key hashes over
-// the build column in one pass, the probe loop only touches the key
-// columns and emits selection vectors, and output columns materialize via
-// gathers. Emission order (probe order x build-insertion order per key) is
-// identical to the legacy kernel, so outputs are bit-identical.
-void HashJoinColumnar(const Table& left, const Table& right, int lkey,
-                      int rkey, const std::vector<int>& right_cols,
-                      int64_t build_rows_hint, Table* out, Table* rejects,
-                      int64_t* build_ns, int64_t* probe_ns) {
-  Timer phase;
-  const JoinHashTable ht(right.column_data(rkey), right.num_rows(),
-                         build_rows_hint);
-  *build_ns = ElapsedNs(phase);
-
-  phase.Restart();
-  const Value* lkeys = left.column_data(lkey);
-  const int64_t n = left.num_rows();
-  SelVector lsel;
-  SelVector rsel;
-  SelVector reject_sel;
-  lsel.reserve(static_cast<size_t>(n));
-  rsel.reserve(static_cast<size_t>(n));
-  for (int64_t l = 0; l < n; ++l) {
-    const JoinHashTable::RowRange range = ht.Lookup(lkeys[l]);
-    if (range.empty()) {
-      if (rejects != nullptr) reject_sel.push_back(l);
-      continue;
-    }
-    for (const int64_t* r = range.begin; r != range.end; ++r) {
-      lsel.push_back(l);
-      rsel.push_back(*r);
-    }
-  }
-
-  std::vector<ColumnPtr> out_cols;
-  out_cols.reserve(static_cast<size_t>(out->schema().size()));
-  for (int c = 0; c < left.schema().size(); ++c) {
+// The joined table: left's columns gathered by `lsel`, then right's
+// non-key columns gathered by `rsel`.
+Table GatherJoin(const Schema& schema, const Table& left, const Table& right,
+                 AttrId attr, const SelVector& lsel, const SelVector& rsel) {
+  std::vector<ColumnPtr> cols;
+  cols.reserve(static_cast<size_t>(schema.size()));
+  for (int c = 0; c < left.num_columns(); ++c) {
     auto col = std::make_shared<Column>();
     GatherColumn(left.column(c), lsel, col.get());
-    out_cols.push_back(std::move(col));
+    cols.push_back(std::move(col));
   }
-  for (int c : right_cols) {
+  for (int c = 0; c < right.num_columns(); ++c) {
+    if (right.schema().attrs()[static_cast<size_t>(c)] == attr) continue;
     auto col = std::make_shared<Column>();
     GatherColumn(right.column(c), rsel, col.get());
-    out_cols.push_back(std::move(col));
+    cols.push_back(std::move(col));
   }
-  *out = Table::FromColumns(out->schema(), std::move(out_cols),
+  return Table::FromColumns(schema, std::move(cols),
                             static_cast<int64_t>(lsel.size()));
-  if (rejects != nullptr) {
-    *rejects = Table::Gather(left, reject_sel);
-  }
-  *probe_ns = ElapsedNs(phase);
 }
 
 }  // namespace
 
+Table ProbeHashJoin(const Schema& schema, const Table& left,
+                    const Table& right, AttrId attr, const JoinHashTable& ht,
+                    JoinProbe* probe, SelVector* unmatched,
+                    std::vector<uint8_t>* build_hits) {
+  ht.Probe(left.column_data(left.schema().IndexOf(attr)), left.num_rows(),
+           probe, unmatched, build_hits);
+  return GatherJoin(schema, left, right, attr, probe->probe_sel,
+                    probe->build_sel);
+}
+
 Table HashJoin(const Table& left, const Table& right, AttrId attr,
-               Table* rejects, int64_t build_rows_hint) {
+               Table* rejects, int64_t build_rows_hint, Table* right_rejects) {
   const int lkey = left.schema().IndexOf(attr);
   const int rkey = right.schema().IndexOf(attr);
   ETLOPT_CHECK_MSG(lkey >= 0 && rkey >= 0, "join key missing from an input");
-
-  std::vector<int> right_cols;
-  Table out{JoinOutputSchema(left, right, attr, &right_cols)};
 
   obs::ScopedSpan span("engine.hash_join");
   if (build_rows_hint > 0) {
     ETLOPT_COUNTER_ADD("etlopt.engine.join.build_hint_used", 1);
   }
-  int64_t build_ns = 0;
-  int64_t probe_ns = 0;
-  if (VectorizedKernels()) {
-    HashJoinColumnar(left, right, lkey, rkey, right_cols, build_rows_hint,
-                     &out, rejects, &build_ns, &probe_ns);
-  } else {
-    HashJoinRows(left, right, lkey, rkey, right_cols, build_rows_hint, &out,
-                 rejects, &build_ns, &probe_ns);
+  Timer phase;
+  const JoinHashTable ht(right.column_data(rkey), right.num_rows(),
+                         build_rows_hint);
+  const int64_t build_ns = ElapsedNs(phase);
+
+  phase.Restart();
+  JoinProbe probe;
+  SelVector unmatched;
+  std::vector<uint8_t> hits;
+  Table out = ProbeHashJoin(JoinOutputSchema(left, right, attr), left, right,
+                            attr, ht, &probe,
+                            rejects != nullptr ? &unmatched : nullptr,
+                            right_rejects != nullptr ? &hits : nullptr);
+  if (rejects != nullptr) *rejects = Table::Gather(left, unmatched);
+  if (right_rejects != nullptr) {
+    *right_rejects = Table::Gather(right, UnmarkedRows(hits));
   }
+  const int64_t probe_ns = ElapsedNs(phase);
   ETLOPT_HIST_RECORD("etlopt.engine.join.hash_build_ns", build_ns);
   ETLOPT_HIST_RECORD("etlopt.engine.join.hash_probe_ns", probe_ns);
   if (span.active()) {
@@ -248,14 +189,12 @@ Table HashJoin(const Table& left, const Table& right, AttrId attr,
 }
 
 Table SortMergeJoin(const Table& left, const Table& right, AttrId attr,
-                    Table* rejects) {
+                    Table* rejects, Table* right_rejects) {
   const int lkey = left.schema().IndexOf(attr);
   const int rkey = right.schema().IndexOf(attr);
   ETLOPT_CHECK_MSG(lkey >= 0 && rkey >= 0, "join key missing from an input");
-
-  std::vector<int> right_cols;
-  Table out{JoinOutputSchema(left, right, attr, &right_cols)};
-  const size_t out_width = static_cast<size_t>(out.schema().size());
+  const Value* lkeys = left.column_data(lkey);
+  const Value* rkeys = right.column_data(rkey);
 
   obs::ScopedSpan span("engine.sort_merge_join");
   Timer phase;
@@ -264,43 +203,54 @@ Table SortMergeJoin(const Table& left, const Table& right, AttrId attr,
   std::vector<int64_t> ridx(static_cast<size_t>(right.num_rows()));
   std::iota(lidx.begin(), lidx.end(), 0);
   std::iota(ridx.begin(), ridx.end(), 0);
-  std::sort(lidx.begin(), lidx.end(), [&](int64_t a, int64_t b) {
-    return left.at(a, lkey) < left.at(b, lkey);
-  });
-  std::sort(ridx.begin(), ridx.end(), [&](int64_t a, int64_t b) {
-    return right.at(a, rkey) < right.at(b, rkey);
-  });
+  std::sort(lidx.begin(), lidx.end(),
+            [&](int64_t a, int64_t b) { return lkeys[a] < lkeys[b]; });
+  std::sort(ridx.begin(), ridx.end(),
+            [&](int64_t a, int64_t b) { return rkeys[a] < rkeys[b]; });
   ETLOPT_HIST_RECORD("etlopt.engine.join.sort_ns", ElapsedNs(phase));
 
   phase.Restart();
+  SelVector lsel;
+  SelVector rsel;
+  SelVector unmatched;
+  std::vector<uint8_t> hits(
+      right_rejects != nullptr ? static_cast<size_t>(right.num_rows()) : 0,
+      0);
   size_t li = 0;
   size_t ri = 0;
   while (li < lidx.size()) {
-    const Value lv = left.at(lidx[li], lkey);
-    while (ri < ridx.size() && right.at(ridx[ri], rkey) < lv) ++ri;
+    const Value lv = lkeys[lidx[li]];
+    while (ri < ridx.size() && rkeys[ridx[ri]] < lv) ++ri;
     // Group of right rows with this key.
     size_t rend = ri;
-    while (rend < ridx.size() && right.at(ridx[rend], rkey) == lv) ++rend;
+    while (rend < ridx.size() && rkeys[ridx[rend]] == lv) ++rend;
     if (ri == rend) {
-      if (rejects != nullptr) {
-        rejects->AppendRowFrom(left, lidx[li]);
-      }
+      unmatched.push_back(lidx[li]);
       ++li;
       continue;
     }
-    // All left rows with this key join with the right group.
-    while (li < lidx.size() && left.at(lidx[li], lkey) == lv) {
+    // The walk meets each right group once: mark it matched.
+    if (!hits.empty()) {
       for (size_t r = ri; r < rend; ++r) {
-        std::vector<Value> row = left.row(lidx[li]);
-        row.reserve(out_width);
-        for (int col : right_cols) {
-          row.push_back(right.at(ridx[r], col));
-        }
-        out.AddRow(row);
+        hits[static_cast<size_t>(ridx[r])] = 1;
+      }
+    }
+    // All left rows with this key join with the right group.
+    while (li < lidx.size() && lkeys[lidx[li]] == lv) {
+      for (size_t r = ri; r < rend; ++r) {
+        lsel.push_back(lidx[li]);
+        rsel.push_back(ridx[r]);
       }
       ++li;
     }
     ri = rend;
+  }
+  Table out =
+      GatherJoin(JoinOutputSchema(left, right, attr), left, right, attr,
+                 lsel, rsel);
+  if (rejects != nullptr) *rejects = Table::Gather(left, unmatched);
+  if (right_rejects != nullptr) {
+    *right_rejects = Table::Gather(right, UnmarkedRows(hits));
   }
   ETLOPT_HIST_RECORD("etlopt.engine.join.merge_ns", ElapsedNs(phase));
   if (span.active()) {
@@ -425,44 +375,26 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
     case OpKind::kFilter: {
       const Table& in = input(0);
       const int col = in.schema().IndexOf(node.predicate.attr);
-      if (VectorizedKernels()) {
-        // Vectorized: one comparison loop over the predicate column builds
-        // the selection, every output column is a gather.
-        SelVector sel;
-        sel.reserve(static_cast<size_t>(in.num_rows()));
-        BuildSelection(node.predicate, in.column_data(col), in.num_rows(),
-                       &sel);
-        out = Table::Gather(in, sel);
-      } else {
-        for (int64_t r = 0; r < in.num_rows(); ++r) {
-          if (node.predicate.Matches(in.at(r, col))) {
-            out.AppendRowFrom(in, r);
-          }
-        }
-      }
+      // One comparison loop over the predicate column builds the
+      // selection, every output column is a gather.
+      SelVector sel;
+      sel.reserve(static_cast<size_t>(in.num_rows()));
+      BuildSelection(node.predicate, in.column_data(col), in.num_rows(),
+                     &sel);
+      out = Table::Gather(in, sel);
       result.rows_processed += in.num_rows();
       break;
     }
     case OpKind::kProject: {
       const Table& in = input(0);
-      std::vector<int> cols;
-      for (AttrId a : node.keep) cols.push_back(in.schema().IndexOf(a));
-      if (VectorizedKernels()) {
-        // Copy-free: the kept columns are shared by pointer; downstream
-        // mutation clones them on write.
-        std::vector<ColumnPtr> kept;
-        kept.reserve(cols.size());
-        for (int c : cols) kept.push_back(in.shared_column(c));
-        out = Table::FromColumns(out.schema(), std::move(kept),
-                                 in.num_rows());
-      } else {
-        for (int64_t r = 0; r < in.num_rows(); ++r) {
-          std::vector<Value> projected;
-          projected.reserve(cols.size());
-          for (int c : cols) projected.push_back(in.at(r, c));
-          out.AddRow(projected);
-        }
+      // Copy-free: the kept columns are shared by pointer; downstream
+      // mutation clones them on write.
+      std::vector<ColumnPtr> kept;
+      kept.reserve(node.keep.size());
+      for (AttrId a : node.keep) {
+        kept.push_back(in.shared_column(in.schema().IndexOf(a)));
       }
+      out = Table::FromColumns(out.schema(), std::move(kept), in.num_rows());
       result.rows_processed += in.num_rows();
       break;
     }
@@ -483,7 +415,7 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
             out.AddRow(row);
           }
         }
-      } else if (VectorizedKernels()) {
+      } else {
         // Batched UDF: untouched columns are shared, the transformed (or
         // derived) column is one fn-application loop over the input array.
         auto mapped = std::make_shared<Column>();
@@ -498,18 +430,6 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
         if (!in_place) out_cols.push_back(std::move(mapped));
         out = Table::FromColumns(out.schema(), std::move(out_cols),
                                  in.num_rows());
-      } else if (t.output_attr == t.input_attr) {
-        for (int64_t r = 0; r < in.num_rows(); ++r) {
-          std::vector<Value> row = in.row(r);
-          row[static_cast<size_t>(col)] = t.fn(row[static_cast<size_t>(col)]);
-          out.AddRow(row);
-        }
-      } else {
-        for (int64_t r = 0; r < in.num_rows(); ++r) {
-          std::vector<Value> row = in.row(r);
-          row.push_back(t.fn(row[static_cast<size_t>(col)]));
-          out.AddRow(row);
-        }
       }
       result.rows_processed += in.num_rows();
       break;
@@ -553,39 +473,18 @@ Status ComputeNodeOutput(const NodeStepContext& ctx, const WorkflowNode& node,
           build_hint = hint_it->second;
         }
       }
-      Table rejects{left.schema()};
+      // Left rejects: probe rows without a match; right rejects: build rows
+      // whose key never occurs on the left, from the join's hit marks.
+      Table rejects;
+      Table rrejects;
       out = node.join.algorithm == JoinAlgorithm::kSortMerge
-                ? SortMergeJoin(left, right, node.join.attr, &rejects)
-                : HashJoin(left, right, node.join.attr, &rejects, build_hint);
+                ? SortMergeJoin(left, right, node.join.attr, &rejects,
+                                &rrejects)
+                : HashJoin(left, right, node.join.attr, &rejects, build_hint,
+                           &rrejects);
       result.rows_processed += left.num_rows() + right.num_rows();
       result.join_rejects[node.id] = std::move(rejects);
-      // Right-side rejects: right rows whose key never occurs on the left.
-      {
-        const int lkey = left.schema().IndexOf(node.join.attr);
-        const int rkey = right.schema().IndexOf(node.join.attr);
-        Table rrejects{right.schema()};
-        if (VectorizedKernels()) {
-          const JoinHashTable left_keys(left.column_data(lkey),
-                                        left.num_rows());
-          const Value* rkeys = right.column_data(rkey);
-          SelVector sel;
-          for (int64_t r = 0; r < right.num_rows(); ++r) {
-            if (!left_keys.Contains(rkeys[r])) sel.push_back(r);
-          }
-          rrejects = Table::Gather(right, sel);
-        } else {
-          std::unordered_map<Value, bool> left_keys;
-          for (int64_t l = 0; l < left.num_rows(); ++l) {
-            left_keys.emplace(left.at(l, lkey), true);
-          }
-          for (int64_t r = 0; r < right.num_rows(); ++r) {
-            if (left_keys.find(right.at(r, rkey)) == left_keys.end()) {
-              rrejects.AppendRowFrom(right, r);
-            }
-          }
-        }
-        result.join_rejects_right[node.id] = std::move(rrejects);
-      }
+      result.join_rejects_right[node.id] = std::move(rrejects);
       break;
     }
     case OpKind::kMaterialize:

@@ -195,7 +195,7 @@ struct ExecutionResult {
   }
 };
 
-// Single-threaded row-at-a-time executor for ETL workflows.
+// Single-threaded columnar executor for ETL workflows.
 //
 // Failure semantics: unrecoverable *configuration* errors (unbound source,
 // schema mismatch) return a non-OK Result as before. Injected *runtime*
@@ -262,18 +262,33 @@ Status ExecuteNodeStep(const NodeStepContext& ctx, const WorkflowNode& node);
 
 // Executes a join of two tables on a shared attribute (hash join; build on
 // the right input). When `rejects` is non-null it receives the left rows
-// with no match. Exposed for the instrumentation side-joins of the
-// union-division statistics. `build_rows_hint` > 0 presizes the build
-// table from the estimator's predicted build cardinality
+// with no match, in left order; when `right_rejects` is non-null it
+// receives the right rows whose key no left row holds, in right order.
+// Exposed for the instrumentation side-joins of the union-division
+// statistics. `build_rows_hint` > 0 presizes the build table from the
+// estimator's predicted build cardinality
 // (ExecutorOptions::build_rows_hints); <= 0 falls back to the row count.
 Table HashJoin(const Table& left, const Table& right, AttrId attr,
-               Table* rejects, int64_t build_rows_hint = -1);
+               Table* rejects, int64_t build_rows_hint = -1,
+               Table* right_rejects = nullptr);
+
+// The hash join's probe-and-gather step over a prebuilt `ht` (a
+// JoinHashTable on right's `attr` column), shared by HashJoin and the
+// partitioned executor's slices: probes with left's `attr` column
+// (`unmatched` and `build_hits` as in JoinHashTable::Probe) and gathers the
+// joined table in `schema` — left's columns, then right's minus the key.
+// `probe` keeps the probe's selections.
+Table ProbeHashJoin(const Schema& schema, const Table& left,
+                    const Table& right, AttrId attr, const JoinHashTable& ht,
+                    JoinProbe* probe, SelVector* unmatched,
+                    std::vector<uint8_t>* build_hits);
 
 // Sort-merge implementation of the same join (identical output multiset,
-// different physical cost profile). The executor dispatches on
+// different physical cost profile; left rows and rejects come in key
+// order, right rejects in right order). The executor dispatches on
 // JoinSpec::algorithm; kAuto uses hash.
 Table SortMergeJoin(const Table& left, const Table& right, AttrId attr,
-                    Table* rejects);
+                    Table* rejects, Table* right_rejects = nullptr);
 
 // Derives ExecutorOptions::build_rows_hints from armed plan monitors: for
 // every join node whose build (right) input carries an expected

@@ -88,20 +88,12 @@ const std::vector<Table>* KeySlices(const BlockContext& ctx,
   return &it->second;
 }
 
-std::vector<int> KeyColumns(const Schema& schema, AttrMask attrs) {
-  std::vector<int> cols;
-  for (int idx : MaskToIndices(attrs)) {
-    cols.push_back(schema.IndexOf(static_cast<AttrId>(idx)));
-  }
-  return cols;
-}
-
 // The key columns of `attrs` as raw column pointers — the zero-copy feed
 // the columnar tap kernels consume.
 std::vector<const Value*> KeyColumnData(const Table& t, AttrMask attrs) {
   std::vector<const Value*> data;
-  for (int c : KeyColumns(t.schema(), attrs)) {
-    data.push_back(t.column_data(c));
+  for (int idx : MaskToIndices(attrs)) {
+    data.push_back(t.column_data(t.schema().IndexOf(static_cast<AttrId>(idx))));
   }
   return data;
 }
@@ -159,7 +151,8 @@ Histogram MergedExactHistogram(const std::vector<Table>& slices,
   return merged;
 }
 
-// Sketch distinct: one HLL per partition, merged register-wise.
+// Sketch distinct: one HLL per partition, merged register-wise. A serial
+// tap is the one-slice case (null `merge_ns`: there is no merge to time).
 sketch::DistinctTap MergedDistinctTap(const std::vector<Table>& slices,
                                       AttrMask attrs,
                                       const sketch::TapSketchConfig& config,
@@ -169,58 +162,36 @@ sketch::DistinctTap MergedDistinctTap(const std::vector<Table>& slices,
   ParallelForEach(pool, static_cast<int>(slices.size()), [&](int p) {
     const Table& t = slices[static_cast<size_t>(p)];
     if (t.num_rows() == 0) return;
-    sketch::DistinctTap& tap = parts[static_cast<size_t>(p)];
-    if (VectorizedKernels()) {
-      tap.AddColumns(KeyColumnData(t, attrs), t.num_rows());
-      return;
-    }
-    const std::vector<int> cols = KeyColumns(t.schema(), attrs);
-    std::vector<Value> probe(cols.size());
-    for (int64_t r = 0; r < t.num_rows(); ++r) {
-      for (size_t c = 0; c < cols.size(); ++c) {
-        probe[c] = t.at(r, cols[c]);
-      }
-      tap.AddRow(probe);
-    }
+    parts[static_cast<size_t>(p)].AddColumns(KeyColumnData(t, attrs),
+                                             t.num_rows());
   });
   const int64_t merge_start = obs::ProfileNowNs();
   for (size_t p = 1; p < parts.size(); ++p) {
     ETLOPT_CHECK_MSG(parts[0].Merge(parts[p]).ok(),
                      "distinct tap shapes diverged");
   }
-  *merge_ns += obs::ProfileNowNs() - merge_start;
+  if (merge_ns != nullptr) *merge_ns += obs::ProfileNowNs() - merge_start;
   return std::move(parts[0]);
 }
 
-// Sketch histogram: one CM+KMV tap per partition, merged losslessly.
+// Sketch histogram: one CM+KMV tap per partition, merged losslessly; the
+// serial tap is the one-slice case, as above.
 sketch::HistTap MergedHistTap(const std::vector<Table>& slices, AttrMask attrs,
-                              const sketch::TapSketchConfig& config, int arity,
+                              const sketch::TapSketchConfig& config,
                               ThreadPool* pool, int64_t* merge_ns) {
-  std::vector<sketch::HistTap> parts(slices.size(),
-                                     sketch::HistTap(config, arity));
+  std::vector<sketch::HistTap> parts(slices.size(), sketch::HistTap(config));
   ParallelForEach(pool, static_cast<int>(slices.size()), [&](int p) {
     const Table& t = slices[static_cast<size_t>(p)];
     if (t.num_rows() == 0) return;
-    sketch::HistTap& tap = parts[static_cast<size_t>(p)];
-    if (VectorizedKernels()) {
-      tap.AddColumns(KeyColumnData(t, attrs), t.num_rows());
-      return;
-    }
-    const std::vector<int> cols = KeyColumns(t.schema(), attrs);
-    std::vector<Value> probe(cols.size());
-    for (int64_t r = 0; r < t.num_rows(); ++r) {
-      for (size_t c = 0; c < cols.size(); ++c) {
-        probe[c] = t.at(r, cols[c]);
-      }
-      tap.AddRow(probe);
-    }
+    parts[static_cast<size_t>(p)].AddColumns(KeyColumnData(t, attrs),
+                                             t.num_rows());
   });
   const int64_t merge_start = obs::ProfileNowNs();
   for (size_t p = 1; p < parts.size(); ++p) {
     ETLOPT_CHECK_MSG(parts[0].Merge(parts[p]).ok(),
                      "hist tap shapes diverged");
   }
-  *merge_ns += obs::ProfileNowNs() - merge_start;
+  if (merge_ns != nullptr) *merge_ns += obs::ProfileNowNs() - merge_start;
   return std::move(parts[0]);
 }
 
@@ -296,9 +267,15 @@ Result<Table> RejectSideJoin(const BlockContext& ctx,
   return HashJoin(*in.rejects, *in.r_table, in.attr, nullptr);
 }
 
+// Reject rows probed per chunk by StreamRejectSideJoin: bounds the pair
+// selections it holds at once to a chunk's matches.
+constexpr int64_t kStreamProbeRows = 4096;
+
 // Streams the pairs of reject(L wrt k) ⋈ R without materializing the joined
-// table: builds the R-side hash index (needed by any join evaluation) and
-// hands each matching pair to `emit(left_row, r_row_index)`.
+// table: builds the R-side hash index (needed by any join evaluation),
+// probes it chunk by chunk, and hands each matching pair to
+// `emit(left_row, r_row_index)` in the join's emission order (left rows in
+// order, each key's matches in R order).
 template <typename Emit>
 Status StreamRejectSideJoin(const RejectJoinInputs& in, Emit&& emit) {
   const int lkey = in.rejects->schema().IndexOf(in.attr);
@@ -306,30 +283,17 @@ Status StreamRejectSideJoin(const RejectJoinInputs& in, Emit&& emit) {
   if (lkey < 0 || rkey < 0) {
     return Status::Internal("join key missing from reject-join input");
   }
-  if (VectorizedKernels()) {
-    // Same emission order as the map-based build: left rows in order, each
-    // key's matches in R build order (JoinHashTable groups preserve it).
-    const JoinHashTable ht(in.r_table->column_data(rkey),
-                           in.r_table->num_rows());
-    const Value* lvals = in.rejects->column_data(lkey);
-    for (int64_t l = 0; l < in.rejects->num_rows(); ++l) {
-      const JoinHashTable::RowRange range = ht.Lookup(lvals[l]);
-      for (const int64_t* p = range.begin; p != range.end; ++p) {
-        emit(l, *p);
-      }
-    }
-    return Status::OK();
-  }
-  std::unordered_map<Value, std::vector<int64_t>> build;
-  build.reserve(static_cast<size_t>(in.r_table->num_rows()));
-  for (int64_t r = 0; r < in.r_table->num_rows(); ++r) {
-    build[in.r_table->at(r, rkey)].push_back(r);
-  }
-  for (int64_t l = 0; l < in.rejects->num_rows(); ++l) {
-    const auto it = build.find(in.rejects->at(l, lkey));
-    if (it == build.end()) continue;
-    for (int64_t r : it->second) {
-      emit(l, r);
+  const JoinHashTable ht(in.r_table->column_data(rkey),
+                         in.r_table->num_rows());
+  const Value* lvals = in.rejects->column_data(lkey);
+  JoinProbe probe;
+  for (int64_t begin = 0; begin < in.rejects->num_rows();
+       begin += kStreamProbeRows) {
+    ht.Probe(lvals + begin,
+             std::min(kStreamProbeRows, in.rejects->num_rows() - begin),
+             &probe, nullptr, nullptr);
+    for (size_t i = 0; i < probe.probe_sel.size(); ++i) {
+      emit(begin + probe.probe_sel[i], probe.build_sel[i]);
     }
   }
   return Status::OK();
@@ -585,24 +549,8 @@ Result<StatStore> ObserveStatistics(const BlockContext& ctx,
               slices != nullptr
                   ? MergedDistinctTap(*slices, key.attrs, tap_config,
                                       par.pool, &local.merge_ns)
-                  : [&] {
-                      sketch::DistinctTap serial(tap_config);
-                      if (VectorizedKernels()) {
-                        serial.AddColumns(KeyColumnData(*table, key.attrs),
-                                          table->num_rows());
-                        return serial;
-                      }
-                      std::vector<int> cols =
-                          KeyColumns(table->schema(), key.attrs);
-                      std::vector<Value> probe(cols.size());
-                      for (int64_t r = 0; r < table->num_rows(); ++r) {
-                        for (size_t c = 0; c < cols.size(); ++c) {
-                          probe[c] = table->at(r, cols[c]);
-                        }
-                        serial.AddRow(probe);
-                      }
-                      return serial;
-                    }();
+                  : MergedDistinctTap({*table}, key.attrs, tap_config,
+                                      nullptr, nullptr);
           store.Set(key, StatValue::CountApprox(tap.Estimate(),
                                                 tap.RelError()));
           ++local.sketch_taps;
@@ -627,26 +575,10 @@ Result<StatStore> ObserveStatistics(const BlockContext& ctx,
         if (use_sketch) {
           sketch::HistTap tap =
               slices != nullptr
-                  ? MergedHistTap(*slices, key.attrs, tap_config, Arity(key),
-                                  par.pool, &local.merge_ns)
-                  : [&] {
-                      sketch::HistTap serial(tap_config, Arity(key));
-                      if (VectorizedKernels()) {
-                        serial.AddColumns(KeyColumnData(*table, key.attrs),
-                                          table->num_rows());
-                        return serial;
-                      }
-                      std::vector<int> cols =
-                          KeyColumns(table->schema(), key.attrs);
-                      std::vector<Value> probe(cols.size());
-                      for (int64_t r = 0; r < table->num_rows(); ++r) {
-                        for (size_t c = 0; c < cols.size(); ++c) {
-                          probe[c] = table->at(r, cols[c]);
-                        }
-                        serial.AddRow(probe);
-                      }
-                      return serial;
-                    }();
+                  ? MergedHistTap(*slices, key.attrs, tap_config, par.pool,
+                                  &local.merge_ns)
+                  : MergedHistTap({*table}, key.attrs, tap_config, nullptr,
+                                  nullptr);
           store.Set(key, StatValue::HistApprox(tap.Build(key.attrs),
                                                tap.RelError()));
           ++local.sketch_taps;
@@ -689,7 +621,7 @@ Result<StatStore> ObserveStatistics(const BlockContext& ctx,
         if (use_sketch) {
           ETLOPT_ASSIGN_OR_RETURN(const JoinedKeyPlan key_plan,
                                   PlanJoinedKey(in, key.attrs));
-          sketch::HistTap tap(tap_config, Arity(key));
+          sketch::HistTap tap(tap_config);
           std::vector<Value> probe(key_plan.cols.size());
           ETLOPT_RETURN_IF_ERROR(StreamRejectSideJoin(
               in, [&](int64_t l, int64_t r) {

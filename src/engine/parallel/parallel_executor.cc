@@ -223,61 +223,26 @@ Table TransformSlice(const WorkflowNode& node, const Schema& out_schema,
                     std::move(mapped));
 }
 
-// Partition-local hash join with the serial kernel's emission order: probe
-// rows in slice order, each key's matches in build order (JoinHashTable
-// groups keep build insertion order). `ht` indexes `right` on the join
-// key. The output's provenance is the probe selection, and `rejects` gets
-// the unmatched probe rows. `hits` marks the build rows some probe row
-// matched: a co-partitioned build side holds only this partition's keys,
-// so its unmatched rows are the build-side rejects (`rrejects`); a
+// Partition-local hash join through the serial kernel's probe-and-gather
+// step, so the emission order is the serial one: probe rows in slice
+// order, each key's matches in build order. `ht` indexes `right` on the
+// join key. The output's provenance is the probe selection, and `rejects`
+// gets the unmatched probe rows. `hits` marks the build rows some probe
+// row matched: a co-partitioned build side holds only this partition's
+// keys, so its unmatched rows are the build-side rejects (`rrejects`); a
 // broadcast build side (null `rrejects`) sees every partition's keys, and
 // the merge barrier combines the partitions' hits instead.
 void JoinSlice(const WorkflowNode& node, const Schema& out_schema,
                const Table& left, const Table& right, const JoinHashTable& ht,
                Slice* out, Slice* rejects, Slice* rrejects,
                std::vector<uint8_t>* hits) {
-  const Value* lkeys = left.column_data(left.schema().IndexOf(node.join.attr));
-  const int64_t n = left.num_rows();
-  SelVector& lsel = out->sel;
-  SelVector rsel;
-  lsel.reserve(static_cast<size_t>(n));
-  rsel.reserve(static_cast<size_t>(n));
-  for (int64_t l = 0; l < n; ++l) {
-    const JoinHashTable::RowRange range = ht.Lookup(lkeys[l]);
-    if (range.empty()) {
-      rejects->sel.push_back(l);
-      continue;
-    }
-    for (const int64_t* r = range.begin; r != range.end; ++r) {
-      lsel.push_back(l);
-      rsel.push_back(*r);
-    }
-  }
-  hits->assign(static_cast<size_t>(right.num_rows()), 0);
-  for (int64_t r : rsel) (*hits)[static_cast<size_t>(r)] = 1;
-
-  std::vector<ColumnPtr> cols;
-  cols.reserve(static_cast<size_t>(out_schema.size()));
-  for (int c = 0; c < left.num_columns(); ++c) {
-    auto col = std::make_shared<Column>();
-    GatherColumn(left.column(c), lsel, col.get());
-    cols.push_back(std::move(col));
-  }
-  for (int c = 0; c < right.num_columns(); ++c) {
-    if (right.schema().attrs()[static_cast<size_t>(c)] == node.join.attr) {
-      continue;
-    }
-    auto col = std::make_shared<Column>();
-    GatherColumn(right.column(c), rsel, col.get());
-    cols.push_back(std::move(col));
-  }
-  out->table = Table::FromColumns(out_schema, std::move(cols),
-                                  static_cast<int64_t>(lsel.size()));
+  JoinProbe probe;
+  out->table = ProbeHashJoin(out_schema, left, right, node.join.attr, ht,
+                             &probe, &rejects->sel, hits);
+  out->sel = std::move(probe.probe_sel);
   rejects->table = Table::Gather(left, rejects->sel);
   if (rrejects != nullptr) {
-    for (int64_t r = 0; r < right.num_rows(); ++r) {
-      if ((*hits)[static_cast<size_t>(r)] == 0) rrejects->sel.push_back(r);
-    }
+    rrejects->sel = UnmarkedRows(*hits);
     rrejects->table = Table::Gather(right, rrejects->sel);
   }
 }
@@ -391,11 +356,7 @@ Table BroadcastBuildRejects(const Table& build,
   for (const std::vector<uint8_t>& h : hits) {
     for (size_t r = 0; r < h.size(); ++r) hit[r] |= h[r];
   }
-  SelVector rejects;
-  for (size_t r = 0; r < hit.size(); ++r) {
-    if (hit[r] == 0) rejects.push_back(static_cast<int64_t>(r));
-  }
-  return Table::Gather(build, rejects);
+  return Table::Gather(build, UnmarkedRows(hit));
 }
 
 // One partition's view of the run: chain progress and per-node self time.

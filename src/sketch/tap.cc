@@ -89,10 +89,8 @@ void DistinctTap::AddColumns(const std::vector<const Value*>& cols,
   }
 }
 
-HistTap::HistTap(const TapSketchConfig& config, int arity)
-    : cm_(config.cm_width, config.cm_depth), kmv_(config.kmv_k) {
-  (void)arity;
-}
+HistTap::HistTap(const TapSketchConfig& config)
+    : cm_(config.cm_width, config.cm_depth), kmv_(config.kmv_k) {}
 
 void HistTap::AddRow(const std::vector<Value>& key) {
   const uint64_t hash = HashValues(key);

@@ -74,7 +74,7 @@ class DistinctTap {
 // the identity the estimator's I1 rule depends on).
 class HistTap {
  public:
-  HistTap(const TapSketchConfig& config, int arity);
+  explicit HistTap(const TapSketchConfig& config);
 
   void AddRow(const std::vector<Value>& key);
   // Columnar feed, bit-identical to AddRow per row: Count-Min and the
@@ -86,7 +86,7 @@ class HistTap {
   // Folds a per-partition tap into this one: Count-Min counters add, the
   // KMV sample unions then re-truncates to bottom-k, and rows_seen sums —
   // each a lossless union, so merged state equals the single-stream tap's
-  // state exactly. Shapes must match (same TapSketchConfig and arity).
+  // state exactly. Shapes must match (same TapSketchConfig).
   Status Merge(const HistTap& other);
 
   Histogram Build(AttrMask attrs) const;

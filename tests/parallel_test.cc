@@ -533,8 +533,8 @@ TEST(SketchMergeTest, DistinctTapPartitionMergeEqualsSingleStream) {
 
 TEST(SketchMergeTest, HistTapPartitionMergeEqualsSingleStream) {
   const sketch::TapSketchConfig config;
-  sketch::HistTap whole(config, /*arity=*/1);
-  std::vector<sketch::HistTap> parts(4, sketch::HistTap(config, 1));
+  sketch::HistTap whole(config);
+  std::vector<sketch::HistTap> parts(4, sketch::HistTap(config));
   Rng rng(321);
   for (int i = 0; i < 20000; ++i) {
     const std::vector<Value> key{rng.NextInRange(1, 800)};

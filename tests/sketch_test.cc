@@ -303,7 +303,7 @@ TEST(TapTest, HistTapExactOnSmallStream) {
   // Far under both the CM width and the KMV k: the rebuilt histogram matches
   // the exact one bucket for bucket.
   sketch::TapSketchConfig config;
-  sketch::HistTap tap(config, 1);
+  sketch::HistTap tap(config);
   Histogram exact(AttrMask{1} << 3);
   for (int64_t i = 0; i < 200; ++i) {
     const std::vector<Value> key{i % 40};
@@ -317,7 +317,7 @@ TEST(TapTest, HistTapExactOnSmallStream) {
 TEST(TapTest, HistTapPreservesTotalMassWhenSaturated) {
   sketch::TapSketchConfig config;
   config.kmv_k = 64;  // force saturation
-  sketch::HistTap tap(config, 1);
+  sketch::HistTap tap(config);
   const int64_t rows = 20000;
   for (int64_t i = 0; i < rows; ++i) tap.AddRow({i % 1000});
   const Histogram rebuilt = tap.Build(AttrMask{1} << 3);

@@ -1,8 +1,9 @@
 // Unit tests for the columnar storage layer and vectorized kernels
 // (engine/column.*): selection vectors, gather, the join hash table's
-// build-order grouping, dictionary encoding, copy-on-write column sharing,
-// and the bit-identical agreement between the vectorized and legacy
-// operator/tap kernels.
+// build-order grouping and probe, build-side rejects from hit marks under
+// both join algorithms, dictionary encoding, copy-on-write column sharing,
+// agreement with the naive reference executor, and the columnar tap feeds'
+// agreement with row-at-a-time feeding.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "engine/column.h"
 #include "engine/executor.h"
 #include "engine/table.h"
+#include "reference_executor.h"
 #include "sketch/sketch.h"
 #include "sketch/tap.h"
 #include "test_util.h"
@@ -19,18 +21,6 @@
 
 namespace etlopt {
 namespace {
-
-// Flips the kernel flag for one scope and restores it after.
-class ScopedKernels {
- public:
-  explicit ScopedKernels(bool on) : saved_(VectorizedKernels()) {
-    SetVectorizedKernels(on);
-  }
-  ~ScopedKernels() { SetVectorizedKernels(saved_); }
-
- private:
-  bool saved_;
-};
 
 TEST(BuildSelectionTest, MatchesPredicateForEveryOperator) {
   Rng rng(5);
@@ -84,8 +74,7 @@ TEST(JoinHashTableTest, LookupReturnsBuildOrderGroups) {
   EXPECT_EQ(std::vector<int64_t>(r9.begin, r9.end),
             (std::vector<int64_t>{3}));
   EXPECT_TRUE(ht.Lookup(42).empty());
-  EXPECT_TRUE(ht.Contains(9));
-  EXPECT_FALSE(ht.Contains(8));
+  EXPECT_TRUE(ht.Lookup(8).empty());
 }
 
 TEST(JoinHashTableTest, CapacityHintOnlyGrowsTheDirectory) {
@@ -106,6 +95,22 @@ TEST(JoinHashTableTest, CapacityHintOnlyGrowsTheDirectory) {
   // An undersized hint falls back to the row count.
   const JoinHashTable lowballed(keys.data(), 300, /*capacity_hint=*/1);
   EXPECT_EQ(lowballed.capacity(), plain.capacity());
+}
+
+TEST(JoinHashTableTest, ProbeEmitsProbeOrderAndMarksHitGroups) {
+  const Column build{7, 3, 7, 9, 3, 7};
+  const Column probe_keys{3, 8, 7, 3};
+  const JoinHashTable ht(build.data(), static_cast<int64_t>(build.size()));
+  JoinProbe probe;
+  SelVector unmatched;
+  std::vector<uint8_t> hits;
+  ht.Probe(probe_keys.data(), static_cast<int64_t>(probe_keys.size()),
+           &probe, &unmatched, &hits);
+  EXPECT_EQ(probe.probe_sel, (SelVector{0, 0, 2, 2, 2, 3, 3}));
+  EXPECT_EQ(probe.build_sel, (SelVector{1, 4, 0, 2, 5, 1, 4}));
+  EXPECT_EQ(unmatched, (SelVector{1}));
+  EXPECT_EQ(hits, (std::vector<uint8_t>{1, 1, 1, 0, 1, 1}));
+  EXPECT_EQ(UnmarkedRows(hits), (SelVector{3}));
 }
 
 TEST(JoinHashTableTest, EmptyBuildSide) {
@@ -157,34 +162,63 @@ TEST(TableCowTest, EqualityComparesContentNotSharing) {
   EXPECT_TRUE(a != rebuilt);
 }
 
-// ---- vectorized vs legacy kernel agreement ------------------------------
+// ---- build-side rejects from hit marks ---------------------------------
 
-ExecutionResult RunWithKernels(const Workflow& wf, const SourceMap& sources,
-                               bool vectorized) {
-  ScopedKernels scoped(vectorized);
-  return Executor(&wf).Execute(sources).value();
+Table KeyedTable(const std::vector<Value>& keys, AttrId payload, Value base) {
+  Table t{Schema({0, payload})};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    t.AddRow({keys[i], base + static_cast<Value>(i)});
+  }
+  return t;
 }
 
-void ExpectSameExecution(const ExecutionResult& a, const ExecutionResult& b) {
-  ASSERT_EQ(a.node_outputs.size(), b.node_outputs.size());
-  for (const auto& [id, table] : a.node_outputs) {
-    EXPECT_EQ(table.MaterializeRows(),
-              b.node_outputs.at(id).MaterializeRows())
-        << "node " << id;
+// Right rows whose key no left row holds, ascending.
+Table NaiveBuildRejects(const Table& left, const Table& right) {
+  Table rejects{right.schema()};
+  for (int64_t r = 0; r < right.num_rows(); ++r) {
+    bool hit = false;
+    for (int64_t l = 0; l < left.num_rows(); ++l) {
+      hit = hit || left.at(l, 0) == right.at(r, 0);
+    }
+    if (!hit) rejects.AppendRowFrom(right, r);
   }
-  for (const auto& [id, table] : a.join_rejects) {
-    EXPECT_EQ(table.MaterializeRows(),
-              b.join_rejects.at(id).MaterializeRows())
-        << "rejects of join " << id;
-  }
-  for (const auto& [id, table] : a.join_rejects_right) {
-    EXPECT_EQ(table.MaterializeRows(),
-              b.join_rejects_right.at(id).MaterializeRows())
-        << "right rejects of join " << id;
-  }
-  EXPECT_EQ(a.rows_processed, b.rows_processed);
-  EXPECT_EQ(a.bytes_processed, b.bytes_processed);
+  return rejects;
 }
+
+TEST(JoinHitMarksTest, BuildSideRejectsUnderBothAlgorithms) {
+  struct Case {
+    const char* name;
+    std::vector<Value> probe;
+    std::vector<Value> build;
+  };
+  const std::vector<Case> cases = {
+      {"duplicates on both sides", {3, 1, 3, 5, 1, 3}, {1, 4, 3, 3, 4, 1, 6}},
+      {"empty build side", {1, 2, 2}, {}},
+      {"empty probe side", {}, {1, 2, 2, 5}},
+      {"all rows hit", {2, 1, 2}, {1, 2, 1, 2}},
+      {"no rows hit", {1, 2, 1}, {3, 4, 3}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Table left = KeyedTable(c.probe, 1, 100);
+    const Table right = KeyedTable(c.build, 2, 200);
+    const Table want = NaiveBuildRejects(left, right);
+    Table hash_rejects;
+    Table hash_rrejects;
+    const Table hash =
+        HashJoin(left, right, 0, &hash_rejects, -1, &hash_rrejects);
+    EXPECT_TRUE(hash_rrejects == want);
+    Table merge_rejects;
+    Table merge_rrejects;
+    const Table merge =
+        SortMergeJoin(left, right, 0, &merge_rejects, &merge_rrejects);
+    EXPECT_TRUE(merge_rrejects == want);
+    EXPECT_TRUE(testing_util::SameMultiset(hash, merge));
+    EXPECT_TRUE(testing_util::SameMultiset(hash_rejects, merge_rejects));
+  }
+}
+
+// ---- agreement with the naive reference executor ------------------------
 
 TEST(KernelEquivalenceTest, OperatorChainBitIdentical) {
   WorkflowBuilder b("chain");
@@ -212,14 +246,13 @@ TEST(KernelEquivalenceTest, OperatorChainBitIdentical) {
   sources["Fact"] = std::move(fact);
   sources["Dim"] = std::move(dim_t);
 
-  const ExecutionResult legacy = RunWithKernels(wf, sources, false);
-  const ExecutionResult vectorized = RunWithKernels(wf, sources, true);
-  ExpectSameExecution(legacy, vectorized);
+  const ExecutionResult exec = Executor(&wf).Execute(sources).value();
+  testing_util::ExpectMatchesReference(wf, sources, exec, "chain");
 }
 
 TEST(KernelEquivalenceTest, HashJoinWithDuplicatesAndHint) {
-  // Duplicate-heavy keys on both sides: per-key fan-out emission order is
-  // where the two kernels could diverge.
+  // Duplicate-heavy keys on both sides: per-key fan-out emission order
+  // (probe order, then build order) is what the hint must not disturb.
   Schema ls({0, 1});
   Schema rs({0, 2});
   Table left{ls};
@@ -231,17 +264,25 @@ TEST(KernelEquivalenceTest, HashJoinWithDuplicatesAndHint) {
   for (int i = 0; i < 80; ++i) {
     right.AddRow({rng.NextInRange(1, 15), 1000 + i});
   }
+  // Nested loops: probe rows in order, each one's matches in build order.
+  Table want{Schema({0, 1, 2})};
+  Table want_rejects{ls};
+  for (int64_t l = 0; l < left.num_rows(); ++l) {
+    bool matched = false;
+    for (int64_t r = 0; r < right.num_rows(); ++r) {
+      if (left.at(l, 0) != right.at(r, 0)) continue;
+      want.AddRow({left.at(l, 0), left.at(l, 1), right.at(r, 1)});
+      matched = true;
+    }
+    if (!matched) want_rejects.AppendRowFrom(left, l);
+  }
   for (int64_t hint : {-1, 10, 100000}) {
-    Table lr_legacy{ls};
-    Table lr_vec{ls};
-    ScopedKernels legacy(false);
-    const Table out_legacy = HashJoin(left, right, 0, &lr_legacy, hint);
-    SetVectorizedKernels(true);
-    const Table out_vec = HashJoin(left, right, 0, &lr_vec, hint);
-    EXPECT_EQ(out_legacy.MaterializeRows(), out_vec.MaterializeRows())
-        << "hint " << hint;
-    EXPECT_EQ(lr_legacy.MaterializeRows(), lr_vec.MaterializeRows())
-        << "hint " << hint;
+    Table rejects;
+    Table rrejects;
+    const Table out = HashJoin(left, right, 0, &rejects, hint, &rrejects);
+    EXPECT_TRUE(out == want) << "hint " << hint;
+    EXPECT_TRUE(rejects == want_rejects) << "hint " << hint;
+    EXPECT_TRUE(rrejects == NaiveBuildRejects(left, right)) << "hint " << hint;
   }
 }
 
@@ -268,8 +309,8 @@ TEST(KernelEquivalenceTest, TapColumnarFeedBitIdentical) {
   EXPECT_EQ(by_row.Estimate(), by_col.Estimate());
   EXPECT_EQ(by_row.hll().ToJson().Dump(), by_col.hll().ToJson().Dump());
 
-  sketch::HistTap hist_row(config, 2);
-  sketch::HistTap hist_col(config, 2);
+  sketch::HistTap hist_row(config);
+  sketch::HistTap hist_col(config);
   for (int64_t r = 0; r < t.num_rows(); ++r) {
     probe[0] = t.at(r, 0);
     probe[1] = t.at(r, 1);
